@@ -42,7 +42,7 @@ pub mod sexpr;
 pub use error::{CompileError, Result};
 pub use sched::ScheduleMode;
 
-use pc_isa::{MachineConfig, Program, RegId, SegmentId};
+use pc_isa::{ClusterConfig, MachineConfig, Program, RegId, SegmentId};
 use std::collections::HashMap;
 
 /// Per-segment diagnostics, mirroring the original compiler's "diagnostic
@@ -109,6 +109,40 @@ impl Default for CompileOptions {
     }
 }
 
+/// The part of a [`MachineConfig`] the compiler reads: the clusters
+/// (each unit's class and latency, in order) and the per-operation
+/// destination budget `max_dsts`.
+///
+/// [`compile_with_options`] schedules and validates against
+/// [`CompileKey::config`], never against the configuration it was
+/// handed, so two configurations with equal keys compile every source to
+/// the same program and debug map. The interconnect, memory model, seed,
+/// arbitration policy, writeback buffer, issue discipline and thread
+/// limit are resolved at run time and are not part of the key.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct CompileKey {
+    clusters: Vec<ClusterConfig>,
+    max_dsts: usize,
+}
+
+impl CompileKey {
+    /// The key of `config`.
+    pub fn of(config: &MachineConfig) -> Self {
+        CompileKey {
+            clusters: config.clusters().to_vec(),
+            max_dsts: config.max_dsts,
+        }
+    }
+
+    /// The machine the compiler schedules for: the key's clusters and
+    /// destination budget, every run-time setting left at its default.
+    pub fn config(&self) -> MachineConfig {
+        let mut config = MachineConfig::new(self.clusters.clone());
+        config.max_dsts = self.max_dsts;
+        config
+    }
+}
+
 /// Compiles source text for a machine configuration.
 ///
 /// `mode` selects the paper's compilation switch: [`ScheduleMode::Single`]
@@ -122,7 +156,8 @@ pub fn compile(src: &str, config: &MachineConfig, mode: ScheduleMode) -> Result<
     compile_with_options(src, config, mode, CompileOptions::default())
 }
 
-/// [`compile`] with explicit [`CompileOptions`].
+/// [`compile`] with explicit [`CompileOptions`]. Only `config`'s
+/// [`CompileKey`] reaches the compiler.
 ///
 /// # Errors
 /// Syntax, type, or scheduling errors ([`CompileError`]).
@@ -132,6 +167,7 @@ pub fn compile_with_options(
     mode: ScheduleMode,
     options: CompileOptions,
 ) -> Result<CompileOutput> {
+    let config = &CompileKey::of(config).config();
     let module = front::expand(src)?;
     let k = config.arith_clusters().count().max(1);
     let mut ir = lower::lower(&module, lower::LowerOptions { forall_variants: k })?;

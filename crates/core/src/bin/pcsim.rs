@@ -312,6 +312,19 @@ fn cmd_exec(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
+/// The experiments `pcsim tables` prints, in its order.
+const TABLES: [&str; 9] = [
+    "table2",
+    "fig5",
+    "table3",
+    "fig6",
+    "fig7",
+    "fig8",
+    "ablations",
+    "registers",
+    "scaling",
+];
+
 fn cmd_tables(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let which = args
         .first()
@@ -322,12 +335,20 @@ fn cmd_tables(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         Some(s) => s.parse::<usize>()?.max(1),
         None => coupling::default_jobs(),
     };
-    let want = |k: &str| which.is_empty() || which == k;
-    if want("table2") {
-        println!("{}", baseline::run_jobs(jobs)?.table2().render());
+    if !which.is_empty() && !TABLES.contains(&which) {
+        eprintln!("pcsim: unknown table \"{which}\"");
+        std::process::exit(2);
     }
-    if want("fig5") {
-        println!("{}", baseline::run_jobs(jobs)?.fig5().render());
+    let want = |k: &str| which.is_empty() || which == k;
+    if want("table2") || want("fig5") {
+        // Table 2 and Figure 5 are two views of the same grid.
+        let results = baseline::run_jobs(jobs)?;
+        if want("table2") {
+            println!("{}", results.table2().render());
+        }
+        if want("fig5") {
+            println!("{}", results.fig5().render());
+        }
     }
     if want("table3") {
         // Two heterogeneous runs; not worth fanning out.

@@ -1,15 +1,18 @@
 //! Compile → simulate → validate, for one benchmark under one machine
-//! mode and configuration.
+//! mode and configuration. [`compile_image`] and [`run_image`] are the
+//! two halves; a sweep compiles each image once and runs it on every
+//! configuration that shares its [`pc_compiler::CompileKey`].
 
 use crate::benchmarks::Benchmark;
 use crate::mode::MachineMode;
 use pc_compiler::{CompileError, SegmentInfo};
-use pc_isa::MachineConfig;
+use pc_isa::{MachineConfig, Program};
 use pc_sim::probe::{ChromeTraceSink, Fanout, JsonlSink};
 use pc_sim::{EngineKind, Machine, RunStats, SimError};
 use std::fmt;
 use std::io::BufWriter;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 /// Generous default cycle budget (the largest benchmark, LUD under Mem2,
 /// runs well under a million cycles).
@@ -177,14 +180,84 @@ fn run_benchmark_full(
     options: pc_compiler::CompileOptions,
     observe: &Observe,
 ) -> Result<RunOutcome, RunError> {
+    let image = compile_image(bench, mode, &config, options)?;
+    let run = run_image(bench, &image, config, observe)?;
+    Ok(RunOutcome {
+        stats: run.stats,
+        segments: image.segments,
+        peak_registers: image.peak_registers,
+        debug: image.debug,
+        engine: run.engine,
+        host_profile: run.host_profile,
+    })
+}
+
+/// A benchmark compiled for one [`pc_compiler::CompileKey`]: it runs
+/// unchanged on every configuration with that key, whatever its
+/// interconnect, memory model or seed.
+#[derive(Debug, Clone)]
+pub struct Image {
+    /// The executable program, shared by every machine built from it.
+    pub program: Arc<Program>,
+    /// Compiler diagnostics per segment.
+    pub segments: Vec<SegmentInfo>,
+    /// Source-provenance side table from the compiler.
+    pub debug: pc_isa::DebugMap,
+    /// Peak per-cluster register count over all segments.
+    pub peak_registers: u32,
+}
+
+/// What simulating an [`Image`] produces (see [`RunOutcome`] for the
+/// fields).
+#[derive(Debug, Clone)]
+pub struct ImageRun {
+    /// Simulator statistics.
+    pub stats: RunStats,
+    /// The issue engine that actually produced the run.
+    pub engine: EngineKind,
+    /// Host-side phase profile ([`Observe::host_telemetry`] runs only).
+    pub host_profile: Option<pc_sim::HostProfile>,
+}
+
+/// Compiles `bench`'s `mode` source for `config` — the compile half of
+/// [`run_benchmark`].
+///
+/// # Errors
+/// [`RunError::Unsupported`] or [`RunError::Compile`].
+pub fn compile_image(
+    bench: &Benchmark,
+    mode: MachineMode,
+    config: &MachineConfig,
+    options: pc_compiler::CompileOptions,
+) -> Result<Image, RunError> {
     let src = bench.source(mode).ok_or(RunError::Unsupported {
         bench: bench.name,
         mode,
     })?;
-    let out = pc_compiler::compile_with_options(src, &config, mode.schedule_mode(), options)?;
-    let peak = out.peak_registers();
-    let debug = out.debug;
-    let mut machine = Machine::new(config, out.program)?;
+    let out = pc_compiler::compile_with_options(src, config, mode.schedule_mode(), options)?;
+    Ok(Image {
+        peak_registers: out.peak_registers(),
+        program: Arc::new(out.program),
+        segments: out.info,
+        debug: out.debug,
+    })
+}
+
+/// Simulates `image` on `config` and validates the benchmark's output —
+/// the run half of [`run_benchmark`]. `image` must have been compiled
+/// from `bench` for a configuration with `config`'s
+/// [`pc_compiler::CompileKey`].
+///
+/// # Errors
+/// [`RunError::Sim`], [`RunError::Check`], or [`RunError::Io`] for sink
+/// files that cannot be created.
+pub fn run_image(
+    bench: &Benchmark,
+    image: &Image,
+    config: MachineConfig,
+    observe: &Observe,
+) -> Result<ImageRun, RunError> {
+    let mut machine = Machine::new_shared(config, Arc::clone(&image.program))?;
     machine.set_engine(observe.engine);
     (bench.setup)(&mut machine)?;
     if observe.profile {
@@ -202,7 +275,7 @@ fn run_benchmark_full(
         let f = create_sink_file(path)?;
         fan = fan.with(Box::new(ChromeTraceSink::with_debug(
             BufWriter::new(f),
-            debug.clone(),
+            image.debug.clone(),
         )));
     }
     if !fan.is_empty() {
@@ -214,11 +287,8 @@ fn run_benchmark_full(
     let engine = machine.engine();
     let host_profile = machine.host_profile();
     (bench.check)(&mut machine).map_err(RunError::Check)?;
-    Ok(RunOutcome {
+    Ok(ImageRun {
         stats,
-        segments: out.info,
-        peak_registers: peak,
-        debug,
         engine,
         host_profile,
     })

@@ -22,16 +22,17 @@ use super::pool::run_pool;
 use super::telemetry::SweepTelemetry;
 use crate::benchmarks::{self, Benchmark};
 use crate::mode::MachineMode;
-use crate::runner::{run_benchmark, RunError};
+use crate::runner::{compile_image, run_image, Image, Observe, RunError};
+use pc_compiler::{CompileError, CompileKey, CompileOptions};
 use pc_isa::{InterconnectScheme, MachineConfig, MemoryModel};
 use pc_sim::RunStats;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::io::Write as _;
 use std::panic::resume_unwind;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Version of the JSONL row / manifest schema.
@@ -448,6 +449,9 @@ pub struct SweepSummary {
     pub hits: usize,
     /// Rows computed fresh.
     pub misses: usize,
+    /// Programs compiled: at most one per (benchmark, mode,
+    /// [`CompileKey`]) among the cells that missed the cache.
+    pub compiles: usize,
     /// Worker threads used.
     pub jobs: usize,
     /// Total wall-clock nanoseconds for the run.
@@ -490,14 +494,15 @@ impl SweepSummary {
     pub fn to_json(&self) -> String {
         format!(
             "{{\"summary\":true,\"schema\":{SWEEP_SCHEMA_VERSION},\"total_cells\":{},\
-             \"prior_done\":{},\"ran\":{},\"hits\":{},\"misses\":{},\"jobs\":{},\
-             \"wall_ns\":{},\"wall_s\":{:.3},\"cells_per_sec\":{:.1},\
+             \"prior_done\":{},\"ran\":{},\"hits\":{},\"misses\":{},\"compiles\":{},\
+             \"jobs\":{},\"wall_ns\":{},\"wall_s\":{:.3},\"cells_per_sec\":{:.1},\
              \"cache_hit_rate\":{:.3}}}",
             self.total_cells,
             self.prior_done,
             self.rows.len(),
             self.hits,
             self.misses,
+            self.compiles,
             self.jobs,
             self.wall_ns,
             self.wall_s(),
@@ -653,18 +658,111 @@ fn scan_jsonl_done(path: &Path) -> BTreeSet<String> {
 }
 
 // ---------------------------------------------------------------------
+// Program images
+// ---------------------------------------------------------------------
+
+/// The program images of one sweep: one slot per (benchmark, mode,
+/// [`CompileKey`]) among the cells still to run. A cell's compiled
+/// program depends on nothing else (see [`CompileKey`]), so every cell
+/// of a key runs the same image.
+struct ImageMemo {
+    slots: Vec<ImageSlot>,
+    compiles: AtomicUsize,
+}
+
+#[derive(Default)]
+struct ImageSlot {
+    /// `None` until a cell of the key first needs the image, and again
+    /// once the key's last cell has finished. The lock is held across
+    /// the compile, so a second cell of the key waits for the image
+    /// instead of compiling it again; a compile error is kept and
+    /// reported for every cell of the key. A compile that panics leaves
+    /// `None` behind, so a poisoned lock still guards a valid slot.
+    image: Mutex<Option<Result<Arc<Image>, CompileError>>>,
+    /// Cells of the key not yet finished.
+    pending: AtomicUsize,
+}
+
+impl ImageMemo {
+    /// The memo for `cells`, with each cell's slot index.
+    fn new(cells: &[&SweepCell]) -> (ImageMemo, Vec<usize>) {
+        let mut index: HashMap<(&str, MachineMode, CompileKey), usize> = HashMap::new();
+        let mut slots: Vec<ImageSlot> = Vec::new();
+        let slot_of = cells
+            .iter()
+            .map(|cell| {
+                let key = (
+                    cell.bench.as_str(),
+                    cell.mode,
+                    CompileKey::of(&cell.config()),
+                );
+                let slot = *index.entry(key).or_insert_with(|| {
+                    slots.push(ImageSlot::default());
+                    slots.len() - 1
+                });
+                *slots[slot].pending.get_mut() += 1;
+                slot
+            })
+            .collect();
+        let memo = ImageMemo {
+            slots,
+            compiles: AtomicUsize::new(0),
+        };
+        (memo, slot_of)
+    }
+
+    /// The image in `slot`, compiling it for `cell` on first use.
+    fn image(
+        &self,
+        slot: usize,
+        bench: &Benchmark,
+        cell: &SweepCell,
+        config: &MachineConfig,
+    ) -> Result<Arc<Image>, RunError> {
+        let mut image = self.slots[slot]
+            .image
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        image
+            .get_or_insert_with(|| {
+                self.compiles.fetch_add(1, Ordering::Relaxed);
+                match compile_image(bench, cell.mode, config, CompileOptions::default()) {
+                    Ok(image) => Ok(Arc::new(image)),
+                    Err(RunError::Compile(e)) => Err(e),
+                    Err(e) => panic!("cell {cell}: {e} (cells() skips modes without a source)"),
+                }
+            })
+            .clone()
+            .map_err(RunError::Compile)
+    }
+
+    /// Marks one cell of `slot` finished, dropping the image after the
+    /// key's last cell. Each cell's release of `pending` pairs with the
+    /// last cell's acquire, so every other cell's use of the slot
+    /// happens before the drop.
+    fn finish(&self, slot: usize) {
+        let slot = &self.slots[slot];
+        if slot.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
+            *slot.image.lock().unwrap_or_else(PoisonError::into_inner) = None;
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 // The engine
 // ---------------------------------------------------------------------
 
 /// Runs a sweep.
 ///
 /// Work-stealing across `opts.jobs` threads; each pending cell first
-/// consults the cache (if configured), then compiles + simulates +
-/// validates. Completed rows stream to the JSONL sink **in cell order**
-/// (a reorder buffer holds out-of-order completions), and after every
-/// flushed row the manifest is atomically rewritten — killing the
-/// process at any point loses at most the rows still in flight, and a
-/// resume recomputes exactly the missing cells.
+/// consults the cache (if configured), then simulates + validates its
+/// program image. Each image is compiled once per sweep, by the first
+/// cell of its (benchmark, mode, [`CompileKey`]) that misses the cache,
+/// and dropped after the key's last cell. Completed rows stream to the
+/// JSONL sink **in cell order** (a reorder buffer holds out-of-order
+/// completions), and after every flushed row the manifest is atomically
+/// rewritten — killing the process at any point loses at most the rows
+/// still in flight, and a resume recomputes exactly the missing cells.
 ///
 /// # Errors
 /// Deterministically reports the lowest-indexed failing cell
@@ -723,6 +821,8 @@ pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> Result<SweepSummary, 
     }
     let pending: Vec<&SweepCell> = cells.iter().filter(|c| !done.contains(&c.id())).collect();
     let prior_done = cells.len() - pending.len();
+    let (images, slot_of) = ImageMemo::new(&pending);
+    let work: Vec<(&SweepCell, usize)> = pending.iter().copied().zip(slot_of).collect();
 
     let cache = match &opts.cache_dir {
         Some(dir) => Some(ResultCache::open(dir)?),
@@ -785,8 +885,7 @@ pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> Result<SweepSummary, 
             ))
         });
     let tel_ref = tel.as_deref();
-    let run_cell = |cell: &&SweepCell| -> Result<SweepRow, (String, RunError)> {
-        let cell = *cell;
+    let run_one = |cell: &SweepCell, slot: usize| -> Result<SweepRow, (String, RunError)> {
         let bench = bench_of(&cell.bench);
         let config = cell.config();
         let t0 = Instant::now();
@@ -818,7 +917,11 @@ pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> Result<SweepSummary, 
         } else if let Some(t) = tel_ref {
             t.cache_misses.inc();
         }
-        let out = run_benchmark(bench, cell.mode, config).map_err(|e| (cell.id(), e))?;
+        let image = images
+            .image(slot, bench, cell, &config)
+            .map_err(|e| (cell.id(), e))?;
+        let out =
+            run_image(bench, &image, config, &Observe::default()).map_err(|e| (cell.id(), e))?;
         if let (Some(cache), Some(key)) = (&cache, &key) {
             // A failed store must not fail the sweep — the result is in
             // hand; the next run simply recomputes.
@@ -828,7 +931,7 @@ pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> Result<SweepSummary, 
                 &cell.id(),
                 &CachedResult {
                     stats: out.stats.clone(),
-                    peak_registers: out.peak_registers,
+                    peak_registers: image.peak_registers,
                 },
             );
             if let Some(t) = tel_ref {
@@ -841,10 +944,15 @@ pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> Result<SweepSummary, 
         Ok(SweepRow {
             cell: cell.clone(),
             stats: out.stats,
-            peak_registers: out.peak_registers,
+            peak_registers: image.peak_registers,
             cached: false,
             wall_ns: t0.elapsed().as_nanos() as u64,
         })
+    };
+    let run_cell = |&(cell, slot): &(&SweepCell, usize)| -> Result<SweepRow, (String, RunError)> {
+        let row = run_one(cell, slot);
+        images.finish(slot);
+        row
     };
 
     // Monitor thread: redraws the live progress line and/or appends
@@ -905,7 +1013,7 @@ pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> Result<SweepSummary, 
     // Completed-but-unflushed rows (an earlier cell still in flight).
     let mut in_buffer = 0u64;
     run_pool(
-        &pending,
+        &work,
         jobs,
         run_cell,
         |i, outcome| {
@@ -989,6 +1097,7 @@ pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> Result<SweepSummary, 
         prior_done,
         hits,
         misses,
+        compiles: images.compiles.into_inner(),
         jobs,
         wall_ns: started.elapsed().as_nanos() as u64,
         telemetry: tel.map(|t| t.snapshot()),
@@ -1113,6 +1222,70 @@ mod tests {
             unsharded
         );
         assert!(Manifest::from_json("{}").is_err());
+    }
+
+    /// One cell per memory model of a single (benchmark, mode, key).
+    fn one_key_cells() -> Vec<SweepCell> {
+        SweepSpec {
+            benches: vec!["matrix".into()],
+            modes: vec![MachineMode::Seq],
+            memories: MemKind::all().to_vec(),
+            ..SweepSpec::table2()
+        }
+        .cells()
+        .unwrap()
+    }
+
+    #[test]
+    fn image_memo_compiles_a_key_once_and_drops_it_after_its_last_cell() {
+        let cells = one_key_cells();
+        let (memo, slot_of) = ImageMemo::new(&cells.iter().collect::<Vec<_>>());
+        assert_eq!(slot_of, vec![0, 0, 0]);
+        let bench = benchmarks::matrix();
+        let start = std::sync::Barrier::new(cells.len());
+        let (memo_ref, bench_ref, start) = (&memo, &bench, &start);
+        let images: Vec<Arc<Image>> = std::thread::scope(|s| {
+            let workers: Vec<_> = cells
+                .iter()
+                .map(|c| {
+                    s.spawn(move || {
+                        start.wait();
+                        memo_ref.image(0, bench_ref, c, &c.config()).unwrap()
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        assert_eq!(memo.compiles.load(Ordering::Relaxed), 1);
+        assert!(images.iter().all(|i| Arc::ptr_eq(i, &images[0])));
+        memo.finish(0);
+        memo.finish(0);
+        assert!(memo.slots[0].image.lock().unwrap().is_some());
+        memo.finish(0);
+        assert!(memo.slots[0].image.lock().unwrap().is_none());
+    }
+
+    #[test]
+    fn image_memo_reports_one_compile_error_for_every_cell_of_the_key() {
+        let broken = Benchmark {
+            name: "Broken",
+            seq_src: "(no-main)".into(),
+            threaded_src: "(no-main)".into(),
+            ideal_src: None,
+            setup: |_| Ok(()),
+            check: |_| Ok(()),
+        };
+        let cells = one_key_cells();
+        let (memo, _) = ImageMemo::new(&cells.iter().collect::<Vec<_>>());
+        let errors: Vec<String> = cells
+            .iter()
+            .map(|c| match memo.image(0, &broken, c, &c.config()) {
+                Err(e @ RunError::Compile(_)) => e.to_string(),
+                other => panic!("expected a compile error, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(memo.compiles.load(Ordering::Relaxed), 1);
+        assert!(errors.iter().all(|e| *e == errors[0]), "{errors:?}");
     }
 
     #[test]

@@ -98,6 +98,35 @@ fn warm_rerun_is_all_hits_and_bit_identical() {
 }
 
 #[test]
+fn full_grid_compiles_each_image_once_cold_and_nothing_warm() {
+    let scratch = Scratch::new("images");
+    let opts = SweepOptions {
+        jobs: 2,
+        cache_dir: Some(scratch.path("cache")),
+        ..SweepOptions::default()
+    };
+    // 300 cells, one image per benchmark × mode.
+    let cold = run_sweep(&SweepSpec::full(), &opts).unwrap();
+    assert_eq!(cold.misses, 300);
+    assert_eq!(cold.compiles, 20);
+    assert!(
+        cold.to_json().contains("\"compiles\":20,"),
+        "{}",
+        cold.to_json()
+    );
+    assert!(!cold.rows[0].to_jsonl().contains("compiles"));
+    let warm = run_sweep(&SweepSpec::full(), &opts).unwrap();
+    assert_eq!(warm.hits, 300);
+    assert_eq!(warm.compiles, 0, "cache hits must never compile");
+    assert!(
+        warm.to_json().contains("\"compiles\":0,"),
+        "{}",
+        warm.to_json()
+    );
+    assert_eq!(canonical_rows(&cold), canonical_rows(&warm));
+}
+
+#[test]
 fn changing_config_or_seed_invalidates() {
     let scratch = Scratch::new("invalidate");
     let opts = SweepOptions {

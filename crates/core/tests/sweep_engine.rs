@@ -2,12 +2,16 @@
 //! sharded, and cached executions must all be bit-identical to a serial
 //! cold run, and stealing must actually rebalance skewed workloads.
 
-use coupling::sweep::{par_map, run_sweep, SweepOptions, SweepRow, SweepSpec};
-use coupling::MachineMode;
+use coupling::sweep::{
+    par_map, run_sweep, MemKind, Mix, SweepOptions, SweepRow, SweepSpec, SweepSummary,
+};
+use coupling::{run_benchmark, MachineMode};
+use pc_isa::InterconnectScheme;
+use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
 /// The deterministic portion of a sweep's rows, in cell order.
-fn canonical(summary: &coupling::sweep::SweepSummary) -> Vec<String> {
+fn canonical(summary: &SweepSummary) -> Vec<String> {
     summary
         .rows
         .iter()
@@ -307,4 +311,77 @@ fn streamed_jsonl_is_in_cell_order_even_when_parallel() {
     let want: Vec<String> = spec.cells().unwrap().iter().map(|c| c.id()).collect();
     assert_eq!(got, want, "reorder buffer must flush in cell order");
     let _ = std::fs::remove_dir_all(&scratch);
+}
+
+/// Distinct (benchmark, mode, mix) triples among a sweep's rows. Every
+/// other grid axis is a run-time setting, so this counts the sweep's
+/// compile keys.
+fn keys(summary: &SweepSummary) -> usize {
+    summary
+        .rows
+        .iter()
+        .map(|r| (r.cell.bench.clone(), r.cell.mode.label(), r.cell.mix.key()))
+        .collect::<BTreeSet<_>>()
+        .len()
+}
+
+#[test]
+fn a_shard_compiles_only_the_keys_of_its_own_cells() {
+    // Six cells, one key each: each shard holds three of them.
+    for k in 1..=2 {
+        let shard = run_sweep(
+            &small_spec(),
+            &SweepOptions {
+                shard: Some((k, 2)),
+                jobs: 2,
+                ..SweepOptions::default()
+            },
+        )
+        .unwrap();
+        assert_eq!(shard.rows.len(), 3);
+        assert_eq!(shard.compiles, 3, "shard {k}/2");
+        assert_eq!(shard.compiles, keys(&shard), "shard {k}/2");
+    }
+}
+
+#[test]
+fn shared_images_give_the_same_rows_at_any_jobs_count() {
+    // 2 benchmarks × 2 modes × 2 mixes = 8 keys, each shared by the
+    // 5 interconnects × 2 memories of its cells.
+    let spec = SweepSpec {
+        benches: vec!["matrix".into(), "fft".into()],
+        modes: vec![MachineMode::Seq, MachineMode::Coupled],
+        interconnects: InterconnectScheme::all().to_vec(),
+        memories: vec![MemKind::Min, MemKind::Mem1],
+        mixes: vec![Mix::Baseline, Mix::Units { iu: 2, fpu: 3 }],
+        seed: 0,
+    };
+    let run = |jobs| {
+        run_sweep(
+            &spec,
+            &SweepOptions {
+                jobs,
+                ..SweepOptions::default()
+            },
+        )
+        .unwrap()
+    };
+    let serial = run(1);
+    let parallel = run(4);
+    assert_eq!(serial.rows.len(), 80);
+    assert_eq!(keys(&serial), 8);
+    assert_eq!(serial.compiles, 8);
+    assert_eq!(parallel.compiles, 8);
+    assert_eq!(canonical(&serial), canonical(&parallel));
+    // A shared image runs exactly as a per-cell compile would.
+    let suite = coupling::benchmarks::all();
+    for row in serial.rows.iter().step_by(7) {
+        let bench = suite
+            .iter()
+            .find(|b| b.name.to_lowercase() == row.cell.bench)
+            .unwrap();
+        let own = run_benchmark(bench, row.cell.mode, row.cell.config()).unwrap();
+        assert_eq!(own.stats, row.stats, "{}", row.cell);
+        assert_eq!(own.peak_registers, row.peak_registers, "{}", row.cell);
+    }
 }

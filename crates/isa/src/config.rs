@@ -51,7 +51,7 @@ impl fmt::Display for UnitClass {
 }
 
 /// One function unit within a cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct UnitConfig {
     /// What the unit executes.
     pub class: UnitClass,
@@ -74,7 +74,7 @@ impl UnitConfig {
 }
 
 /// One cluster: a set of function units sharing a register file.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct ClusterConfig {
     /// The units in the cluster.
     pub units: Vec<UnitConfig>,
