@@ -1,12 +1,14 @@
-//! # pc-bench — the paper's evaluation as Criterion benches
+//! # pc-bench — the simulate-layer microbench and its CI gate
 //!
-//! One bench target per table/figure. Each prints the regenerated
-//! table/series once, then times representative runs so regressions in
-//! simulator or compiler performance are visible:
+//! One bench target, `simcore`, times the simulator hot loop over every
+//! benchmark × machine mode and writes `BENCH_simcore.json` at the
+//! workspace root; the `bench_gate` binary compares two such documents
+//! for regressions and throughput floors. The paper's tables print with
+//! `pcsim tables <name>`, and end-to-end cell throughput is measured by
+//! `perfbench/`.
 //!
 //! ```sh
-//! cargo bench -p pc-bench --bench table2_baseline
-//! cargo bench -p pc-bench --bench fig6_comm
+//! cargo bench -p pc-bench --bench simcore
 //! ```
 
 /// Criterion sample count used by all benches (whole-program simulations
@@ -26,9 +28,7 @@ pub fn quick_mode() -> bool {
 pub struct BaselineCase {
     /// `simcore/<Bench>/<Mode>` identifier.
     pub id: String,
-    /// Issue engine that produced the case (`decoded` / `event` /
-    /// `scan`). Schema-v3 documents predate the field; they parse as
-    /// `decoded` — in v3 the default engine was the only one measured.
+    /// Issue engine that produced the case (`decoded` / `scan`).
     pub engine: String,
     /// Mean wall time per full pipeline run, nanoseconds.
     pub mean_ns: u64,
@@ -87,7 +87,9 @@ pub fn parse_baseline(json: &str) -> Result<Vec<BaselineCase>, String> {
             sim_cycles_per_sec: num("sim_cycles_per_sec")?,
             mean_ns: num("mean_ns")? as u64,
             cycles_per_run: num("cycles_per_run")? as u64,
-            engine: scan_string(obj, "engine").unwrap_or("decoded").to_string(),
+            engine: scan_string(obj, "engine")
+                .ok_or_else(|| format!("{id}: missing engine"))?
+                .to_string(),
             id,
         });
         rest = &rest[obj_start + obj_end + 1..];
@@ -96,124 +98,6 @@ pub fn parse_baseline(json: &str) -> Result<Vec<BaselineCase>, String> {
         return Err("cases array is empty".to_string());
     }
     Ok(cases)
-}
-
-/// One shard's record inside the `table2_sweep` block.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SweepShardStat {
-    /// Shard selector, `"k/n"`.
-    pub shard: String,
-    /// Wall-clock milliseconds for the shard.
-    pub wall_ms: f64,
-    /// Cells served from the result cache.
-    pub hits: u64,
-    /// Cells computed fresh.
-    pub misses: u64,
-}
-
-/// The `table2_sweep` block of a v3 `BENCH_simcore.json`: what the sweep
-/// engine actually did — jobs used, wall-clock per shard, and cache
-/// hit/miss counts for the cold and warm passes.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SweepStats {
-    /// Worker threads the sweep ran with.
-    pub jobs: u64,
-    /// Cells in the swept grid.
-    pub cells: u64,
-    /// Serial (jobs=1) wall-clock milliseconds, best of N.
-    pub serial_ms: f64,
-    /// Parallel wall-clock milliseconds (absent on single-CPU hosts —
-    /// recording a fictitious "speedup" there would be dishonest).
-    pub parallel_ms: Option<f64>,
-    /// serial_ms / parallel_ms, when both were measured.
-    pub speedup: Option<f64>,
-    /// Per-shard wall-clock and cache traffic for the cold pass.
-    pub shards: Vec<SweepShardStat>,
-    /// (hits, misses) of the cold pass over the whole grid.
-    pub cold: (u64, u64),
-    /// (hits, misses) of the warm rerun — misses must be 0.
-    pub warm: (u64, u64),
-}
-
-/// Extracts the brace- or bracket-delimited value following `"key":`,
-/// balancing nesting. The writer never emits braces inside strings, so
-/// plain depth counting is sufficient (unit-tested against the writer).
-fn extract_delimited<'a>(text: &'a str, key: &str, open: char, close: char) -> Option<&'a str> {
-    let tag = format!("\"{key}\":");
-    let rest = text[text.find(&tag)? + tag.len()..].trim_start();
-    if !rest.starts_with(open) {
-        return None;
-    }
-    let mut depth = 0usize;
-    for (i, ch) in rest.char_indices() {
-        if ch == open {
-            depth += 1;
-        } else if ch == close {
-            depth -= 1;
-            if depth == 0 {
-                return Some(&rest[..=i]);
-            }
-        }
-    }
-    None
-}
-
-/// Parses the `table2_sweep` block of a v3 `BENCH_simcore.json`.
-///
-/// # Errors
-/// Returns a description of the first missing or malformed field.
-pub fn parse_sweep_stats(json: &str) -> Result<SweepStats, String> {
-    let obj = extract_delimited(json, "table2_sweep", '{', '}')
-        .ok_or_else(|| "no \"table2_sweep\" object".to_string())?;
-    let num = |key: &str| -> Result<f64, String> {
-        scan_field(obj, key)
-            .ok_or_else(|| format!("table2_sweep: missing {key}"))?
-            .parse::<f64>()
-            .map_err(|e| format!("table2_sweep: bad {key}: {e}"))
-    };
-    let pair = |key: &str| -> Result<(u64, u64), String> {
-        let sub = extract_delimited(obj, key, '{', '}')
-            .ok_or_else(|| format!("table2_sweep: missing {key}"))?;
-        let get = |k: &str| -> Result<u64, String> {
-            scan_field(sub, k)
-                .ok_or_else(|| format!("table2_sweep.{key}: missing {k}"))?
-                .parse::<u64>()
-                .map_err(|e| format!("table2_sweep.{key}: bad {k}: {e}"))
-        };
-        Ok((get("hits")?, get("misses")?))
-    };
-    let mut shards = Vec::new();
-    let mut rest = extract_delimited(obj, "shards", '[', ']')
-        .ok_or_else(|| "table2_sweep: missing shards".to_string())?;
-    while let Some(start) = rest.find('{') {
-        let end = rest[start..].find('}').ok_or("unterminated shard object")?;
-        let sobj = &rest[start..start + end + 1];
-        let get = |k: &str| -> Result<f64, String> {
-            scan_field(sobj, k)
-                .ok_or_else(|| format!("shard: missing {k}"))?
-                .parse::<f64>()
-                .map_err(|e| format!("shard: bad {k}: {e}"))
-        };
-        shards.push(SweepShardStat {
-            shard: scan_string(sobj, "shard")
-                .ok_or_else(|| format!("shard without selector: {sobj}"))?
-                .to_string(),
-            wall_ms: get("wall_ms")?,
-            hits: get("hits")? as u64,
-            misses: get("misses")? as u64,
-        });
-        rest = &rest[start + end + 1..];
-    }
-    Ok(SweepStats {
-        jobs: num("jobs")? as u64,
-        cells: num("cells")? as u64,
-        serial_ms: num("serial_ms")?,
-        parallel_ms: num("parallel_ms").ok(),
-        speedup: num("speedup").ok(),
-        shards,
-        cold: pair("cold")?,
-        warm: pair("warm")?,
-    })
 }
 
 /// Compares `current` against `baseline`: one failure line per case whose
@@ -278,27 +162,13 @@ mod tests {
     use super::*;
 
     const SAMPLE: &str = r#"{
-  "schema": "simcore-baseline-v4",
+  "schema": "simcore-baseline-v5",
   "host_cpus": 4,
   "cases": [
     {"id": "simcore/Matrix/STS", "engine": "decoded", "mean_ns": 1609547, "iterations": 1400, "cycles_per_run": 1598, "sim_cycles_per_sec": 992826},
     {"id": "simcore/Matrix/Coupled", "engine": "decoded", "mean_ns": 4714083, "iterations": 380, "cycles_per_run": 580, "sim_cycles_per_sec": 123036},
     {"id": "simcore/Matrix/Coupled/scan", "engine": "scan", "mean_ns": 9428166, "iterations": 190, "cycles_per_run": 580, "sim_cycles_per_sec": 61518}
-  ],
-  "table2_sweep": {
-    "jobs": 4,
-    "cells": 18,
-    "serial_ms": 470.5,
-    "parallel_ms": 232.1,
-    "speedup": 2.03,
-    "bit_identical": true,
-    "shards": [
-      {"shard": "1/2", "wall_ms": 120.3, "hits": 0, "misses": 9},
-      {"shard": "2/2", "wall_ms": 118.9, "hits": 0, "misses": 9}
-    ],
-    "cold": {"hits": 0, "misses": 18},
-    "warm": {"hits": 18, "misses": 0}
-  }
+  ]
 }"#;
 
     #[test]
@@ -315,57 +185,14 @@ mod tests {
     }
 
     #[test]
-    fn v3_documents_without_engine_default_to_decoded() {
-        let doc = SAMPLE.replace("\"engine\": \"decoded\", ", "");
-        let cases = parse_baseline(&doc).unwrap();
-        assert_eq!(cases[0].engine, "decoded");
-        assert_eq!(cases[1].engine, "decoded");
-        assert_eq!(cases[2].engine, "scan", "explicit field still wins");
-    }
-
-    #[test]
-    fn parses_the_sweep_block() {
-        let s = parse_sweep_stats(SAMPLE).unwrap();
-        assert_eq!(s.jobs, 4);
-        assert_eq!(s.cells, 18);
-        assert_eq!(s.serial_ms, 470.5);
-        assert_eq!(s.parallel_ms, Some(232.1));
-        assert_eq!(s.speedup, Some(2.03));
-        assert_eq!(s.shards.len(), 2);
-        assert_eq!(s.shards[0].shard, "1/2");
-        assert_eq!(s.shards[0].wall_ms, 120.3);
-        assert_eq!(s.shards[1].misses, 9);
-        assert_eq!(s.cold, (0, 18));
-        assert_eq!(s.warm, (18, 0), "warm pass must record zero misses");
-    }
-
-    #[test]
-    fn sweep_block_tolerates_single_cpu_hosts() {
-        // On a 1-CPU host the writer omits parallel_ms/speedup rather
-        // than record a fictitious comparison.
-        let doc = SAMPLE
-            .replace("    \"parallel_ms\": 232.1,\n", "")
-            .replace("    \"speedup\": 2.03,\n", "");
-        let s = parse_sweep_stats(&doc).unwrap();
-        assert_eq!(s.parallel_ms, None);
-        assert_eq!(s.speedup, None);
-        assert_eq!(s.cold, (0, 18));
-    }
-
-    #[test]
-    fn sweep_block_errors_are_described() {
-        assert!(parse_sweep_stats("{}")
-            .unwrap_err()
-            .contains("table2_sweep"));
-        let doc = SAMPLE.replace("\"cold\"", "\"chilly\"");
-        assert!(parse_sweep_stats(&doc).unwrap_err().contains("cold"));
-    }
-
-    #[test]
     fn rejects_malformed_documents() {
         assert!(parse_baseline("{}").is_err());
         assert!(parse_baseline(r#"{"cases": []}"#).is_err());
         assert!(parse_baseline(r#"{"cases": [{"mean_ns": 1}]}"#).is_err());
+        let no_engine = SAMPLE.replace("\"engine\": \"decoded\", ", "");
+        assert!(parse_baseline(&no_engine)
+            .unwrap_err()
+            .contains("missing engine"));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! ```text
 //! pcsim run <matrix|fft|lud|model> [--mode seq|sts|ideal|tpe|coupled]
 //!           [--interconnect full|tri|dual|single|bus] [--memory min|mem1|mem2]
-//!           [--seed N] [--lockstep] [--priority] [--engine decoded|event|scan]
+//!           [--seed N] [--lockstep] [--priority] [--engine decoded|scan]
 //! pcsim profile <matrix|fft|lud|model> <seq|sts|ideal|tpe|coupled>
 //!           [--interconnect I] [--memory MM] [--seed N] [--lockstep] [--priority]
 //!           [--engine E] [--jsonl FILE] [--chrome FILE]
@@ -34,11 +34,13 @@ use coupling::experiments::{
 use coupling::{benchmarks, run_benchmark_observed, MachineMode, Observe};
 use pc_compiler::ScheduleMode;
 use pc_isa::{ArbitrationPolicy, InterconnectScheme, MachineConfig, MemoryModel, UnitClass};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 fn usage() -> ! {
     eprintln!(
         "usage:
-  pcsim run <matrix|fft|lud|model> [--mode M] [--interconnect I] [--memory MM] [--seed N] [--lockstep] [--priority] [--engine decoded|event|scan]
+  pcsim run <matrix|fft|lud|model> [--mode M] [--interconnect I] [--memory MM] [--seed N] [--lockstep] [--priority] [--engine decoded|scan]
   pcsim profile <matrix|fft|lud|model> <seq|sts|ideal|tpe|coupled> [--interconnect I] [--memory MM] [--seed N] [--lockstep] [--priority] [--engine E] [--jsonl FILE] [--chrome FILE]
   pcsim explain <matrix|fft|lud|model> [--modes seq,coupled] [--interconnect I] [--memory MM] [--seed N] [--lockstep] [--priority]
   pcsim compile <source.pc> [--single]
@@ -289,8 +291,9 @@ fn cmd_exec(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let symbols: Vec<String> = out.program.symbols.keys().cloned().collect();
     let mut m = pc_sim::Machine::new(config.clone(), out.program)?;
     let trace_cycles: Option<u64> = flag_value(args, "--trace").map(|s| s.parse()).transpose()?;
+    let trace = Rc::new(RefCell::new(Vec::<pc_sim::TraceEvent>::new()));
     if trace_cycles.is_some() {
-        m.enable_trace();
+        m.attach_probe(Box::new(Rc::clone(&trace)));
     }
     let stats = m.run(100_000_000)?;
     println!(
@@ -306,7 +309,7 @@ fn cmd_exec(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     if let Some(n) = trace_cycles {
         println!(
             "\n{}",
-            pc_sim::trace::render_interleaving(&config, m.trace(), 0..n)
+            pc_sim::trace::render_interleaving(&config, &trace.borrow(), 0..n)
         );
     }
     Ok(())

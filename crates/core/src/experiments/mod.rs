@@ -13,9 +13,9 @@
 //! | [`scaling`] | problem-size scaling of the coupled advantage (extension) |
 //!
 //! Every module exposes a `run*` entry returning structured results with
-//! a `render()` producing the paper-style text table, so the Criterion
-//! benches, the `paper_tables` example and the integration tests all share
-//! one implementation.
+//! a `render()` producing the paper-style text table, so `pcsim tables`,
+//! the `paper_tables` example and the integration tests all share one
+//! implementation.
 
 pub mod ablation;
 pub mod baseline;

@@ -26,7 +26,7 @@ use super::pool::PoolMetrics;
 #[derive(Debug)]
 pub struct SweepTelemetry {
     registry: Registry,
-    /// Pool handles, shared with [`super::pool::run_pool`].
+    /// Pool handles, shared with `run_pool`.
     pub pool: PoolMetrics,
     /// Cells completed (fresh or cached).
     pub cells_done: Arc<Counter>,

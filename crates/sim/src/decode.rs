@@ -137,7 +137,7 @@ pub(crate) struct DecodedOp {
     pub latency: u64,
     /// Compact opcode tag (the decoded engine's jump-table index).
     pub tag: OpTag,
-    /// Dispatch class shared with the oracle engines.
+    /// Dispatch class, shared by the flat and interpretive dispatch.
     pub action: SlotAction,
     /// Source-register presence mask.
     pub src: MaskList,
@@ -159,10 +159,11 @@ pub(crate) struct DecodedOp {
     pub has_order: bool,
     /// Units of sibling slots whose readiness this slot's issue can
     /// destroy: those reading or writing a register this slot writes.
-    /// Units ≥ 64 are omitted (the cached engines are disabled there).
+    /// Units ≥ 64 are omitted (the decoded engine is disabled there).
     pub kills: u64,
     /// The operation's source operands as the program spells them
-    /// (copied out once) — the oracle engines' gather list.
+    /// (copied out once) — the gather list of the interpretive dispatch
+    /// used by the scan engine and lockstep issue.
     pub srcs_ops: SrcList,
     /// The same sources pre-resolved to flat indices / unboxed
     /// immediates — the decoded engine's gather list.

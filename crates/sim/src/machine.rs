@@ -31,36 +31,33 @@ type ValList = InlineVec<Value, 4>;
 
 /// Which issue/dispatch engine a [`Machine`] runs.
 ///
-/// All three produce **bit-identical** simulated results — RunStats and
+/// Both produce **bit-identical** simulated results — RunStats and
 /// stall tables included — for every program (the differential tests pin
 /// this); they differ only in host cost:
 ///
 /// * [`EngineKind::Decoded`] (default): event-driven candidate discovery
 ///   plus decode-once dispatch — flat pre-resolved operands, jump-table
 ///   opcode tags, precomputed latencies ([`DecodedProgram`]).
-/// * [`EngineKind::Event`]: the readiness-bitmask engine with
-///   interpretive per-issue dispatch, kept as the first oracle.
 /// * [`EngineKind::Scan`]: the original scan-every-cycle engine that
 ///   re-grades every thread × unit × slot from the program itself each
-///   cycle — the ground-truth oracle. Also disables bulk idle skipping.
+///   cycle, with interpretive dispatch — the independent oracle, sharing
+///   no decoded state with the engine under test. Also disables bulk
+///   idle skipping.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum EngineKind {
     /// Decode-once threaded-code dispatch (default).
     #[default]
     Decoded,
-    /// Event-driven readiness cache with interpretive dispatch.
-    Event,
     /// Scan-every-cycle reference engine.
     Scan,
 }
 
 impl EngineKind {
-    /// Stable lowercase name (`decoded` / `event` / `scan`), as accepted
+    /// Stable lowercase name (`decoded` / `scan`), as accepted
     /// by `pcsim --engine` and printed in reports.
     pub fn name(self) -> &'static str {
         match self {
             EngineKind::Decoded => "decoded",
-            EngineKind::Event => "event",
             EngineKind::Scan => "scan",
         }
     }
@@ -72,10 +69,9 @@ impl std::str::FromStr for EngineKind {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
             "decoded" => Ok(EngineKind::Decoded),
-            "event" => Ok(EngineKind::Event),
             "scan" => Ok(EngineKind::Scan),
             other => Err(format!(
-                "unknown engine `{other}` (expected decoded, event, or scan)"
+                "unknown engine `{other}` (expected decoded or scan)"
             )),
         }
     }
@@ -220,7 +216,7 @@ struct Scratch {
     wb_granted: Vec<(u32, u32, u32)>,
     /// Phase B: one unit's issue candidates.
     cand: Vec<(ThreadId, usize)>,
-    /// Phase B (cached engines): per-unit candidate buckets filled by a
+    /// Phase B (decoded engine): per-unit candidate buckets filled by a
     /// single pass over the live threads.
     buckets: Vec<Vec<(ThreadId, u16)>>,
     /// Phases B/C: snapshot of live thread ids (spawn/halt mutate `live`).
@@ -252,8 +248,6 @@ enum Readiness {
 /// a single predicted branch per emission point and allocates nothing.
 #[derive(Default)]
 struct Obs {
-    /// Legacy issue trace for the Figure 1/2 renderers.
-    trace: Option<Vec<crate::trace::TraceEvent>>,
     /// Structured event sink.
     sink: Option<Box<dyn Probe>>,
     /// Fold stall attribution into [`RunStats::stalls`].
@@ -296,7 +290,6 @@ impl Obs {
 impl fmt::Debug for Obs {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Obs")
-            .field("trace", &self.trace.as_ref().map(Vec::len))
             .field("sink", &self.sink.is_some())
             .field("profiling", &self.profiling)
             .finish_non_exhaustive()
@@ -517,7 +510,7 @@ impl Machine {
     /// identically (see [`EngineKind`]); this only trades host cost for
     /// oracle independence. Configurations with more than 64 function
     /// units force [`EngineKind::Scan`] regardless of `kind` — the
-    /// cached engines' readiness bitmask is a u64.
+    /// decoded engine's readiness bitmask is a u64.
     pub fn set_engine(&mut self, kind: EngineKind) {
         self.engine = if self.config.units().len() > 64 {
             EngineKind::Scan
@@ -548,18 +541,6 @@ impl Machine {
     /// the decode predates this machine (shared [`DecodedProgram`]s).
     pub fn host_profile(&self) -> Option<HostProfile> {
         self.host.as_ref().map(|h| h.profile(self.code.decode_ns()))
-    }
-
-    /// Starts recording one [`crate::trace::TraceEvent`] per issued
-    /// operation (for the Figure 1/2-style interleaving diagrams).
-    pub fn enable_trace(&mut self) {
-        self.obs.trace.get_or_insert_with(Vec::new);
-    }
-
-    /// The recorded issue trace (empty unless [`Machine::enable_trace`]
-    /// was called before running).
-    pub fn trace(&self) -> &[crate::trace::TraceEvent] {
-        self.obs.trace.as_deref().unwrap_or(&[])
     }
 
     /// Turns on stall attribution: every live thread's non-issuing
@@ -1470,8 +1451,7 @@ impl Machine {
         }
         match self.engine {
             EngineKind::Scan => self.issue_all_scan(now),
-            EngineKind::Event => self.issue_all_cached::<false>(now),
-            EngineKind::Decoded => self.issue_all_cached::<true>(now),
+            EngineKind::Decoded => self.issue_all_cached(now),
         }
     }
 
@@ -1482,10 +1462,9 @@ impl Machine {
     /// issue order are exactly those of [`Machine::issue_all_scan`] —
     /// candidates accumulate in live order and feed the same
     /// [`Machine::select`] — so the engines are bit-identical; only the
-    /// cost of discovering candidates differs. `DECODED` selects the
-    /// flat decoded dispatch inside [`Machine::issue_one`]; candidate
-    /// discovery is shared.
-    fn issue_all_cached<const DECODED: bool>(&mut self, now: u64) -> Result<bool, SimError> {
+    /// cost of discovering candidates differs. Issue uses the flat
+    /// decoded dispatch of [`Machine::issue_one`].
+    fn issue_all_cached(&mut self, now: u64) -> Result<bool, SimError> {
         let mut any = false;
         // One pass over the live threads repairs dirty caches, unions the
         // units with at least one ready slot, and distributes each
@@ -1520,7 +1499,7 @@ impl Machine {
         }
         // Units outside `unit_mask` have no candidates: the reference
         // engine skips them without touching arbitration state, so the
-        // cached engines may too. Within one cycle's issue phase a
+        // decoded engine may too. Within one cycle's issue phase a
         // thread's readiness only ever *shrinks* (its own issues claim
         // registers and add outstanding traffic; nothing completes
         // mid-phase), and every issue repairs its thread's cache in place
@@ -1560,7 +1539,7 @@ impl Machine {
                     });
                 }
             }
-            self.issue_one::<DECODED>(now, fu, tid, slot_idx)?;
+            self.issue_one::<true>(now, fu, tid, slot_idx)?;
             any = true;
         }
         // Leave every touched bucket empty for the next cycle (exactly
@@ -1732,7 +1711,7 @@ impl Machine {
     /// The scan-every-cycle reference engine: rescans every live
     /// thread's row for every unit, grading readiness straight off the
     /// program's operations. Selectable via [`Machine::set_engine`] as
-    /// the oracle the cached engines are verified against.
+    /// the oracle the decoded engine is verified against.
     fn issue_all_scan(&mut self, now: u64) -> Result<bool, SimError> {
         let mut any = false;
         let mut candidates = mem::take(&mut self.scratch.cand);
@@ -1950,14 +1929,6 @@ impl Machine {
         }
     }
 
-    /// Issues one operation: reads sources, claims destinations, enters
-    /// the pipeline / memory system / probe trace.
-    ///
-    /// `DECODED` selects the flat dispatch: operands gather through
-    /// pre-resolved flat register indices and unboxed immediates
-    /// ([`DecSrc`]), destinations claim through flat indices, and the
-    /// latency comes off the decoded record. The event engine (`false`)
-    /// keeps the boxed [`pc_isa::Operand`] path as an oracle.
     /// Enqueues a precomputed effect on `fu`'s pipeline, due at `done`,
     /// maintaining the O(1) due-cycle counters.
     fn push_pipe(&mut self, fu: FuId, tid: ThreadId, op: u32, payload: ExecPayload, done: u64) {
@@ -1975,6 +1946,15 @@ impl Machine {
         });
     }
 
+    /// Issues one operation: reads sources, claims destinations, enters
+    /// the pipeline / memory system / probe sink.
+    ///
+    /// `DECODED` selects the flat dispatch: operands gather through
+    /// pre-resolved flat register indices and unboxed immediates
+    /// ([`DecSrc`]), destinations claim through flat indices, and the
+    /// latency comes off the decoded record. The scan engine and lockstep
+    /// issue (`false`) keep the boxed [`pc_isa::Operand`] path as an
+    /// oracle.
     fn issue_one<const DECODED: bool>(
         &mut self,
         now: u64,
@@ -1987,7 +1967,7 @@ impl Machine {
         let row = t.ip;
         // The slot metadata self-contains operands, destinations, and the
         // action, so steady-state issue never dereferences the program
-        // (only the trace block below does, for the mnemonic). The op
+        // (only the probe block below does, for the mnemonic). The op
         // index is resolved once here and rides the pipeline entry, so
         // completion reaches the record in a single load.
         let op_idx = self
@@ -2046,9 +2026,9 @@ impl Machine {
             let base = self.obs.slot_base[seg_id.0 as usize][row as usize];
             self.obs.issued_dense[base as usize + slot_idx] += 1;
         }
-        if self.obs.trace.is_some() || self.obs.sink.is_some() {
+        if let Some(sink) = &mut self.obs.sink {
             let (_, op) = &self.program.segment(seg_id).rows[row as usize].slots()[slot_idx];
-            let ev = crate::trace::TraceEvent {
+            sink.event(&ProbeEvent::Issue(crate::trace::TraceEvent {
                 cycle: now,
                 fu,
                 thread: tid.0,
@@ -2056,13 +2036,7 @@ impl Machine {
                 seg: seg_id.0,
                 row,
                 slot: slot_idx as u16,
-            };
-            if let Some(sink) = &mut self.obs.sink {
-                sink.event(&ProbeEvent::Issue(ev.clone()));
-            }
-            if let Some(trace) = &mut self.obs.trace {
-                trace.push(ev);
-            }
+            }));
         }
 
         match action {
@@ -2995,7 +2969,7 @@ mod tests {
         let base = plain.run(10_000).unwrap();
         let mut profiled = Machine::new(MachineConfig::baseline(), contention_program()).unwrap();
         profiled.enable_profiling();
-        profiled.enable_trace();
+        profiled.attach_probe(Box::<Vec<crate::trace::TraceEvent>>::default());
         let mut observed = profiled.run(10_000).unwrap();
         assert!(!observed.stalls.is_empty());
         observed.stalls = Default::default();
@@ -3003,34 +2977,25 @@ mod tests {
     }
 
     #[test]
-    fn event_engine_matches_reference_engine() {
+    fn decoded_engine_matches_reference_engine() {
         // The contention program exercises arbitration losses, writeback
         // bursts, and memory ordering — the paths whose readiness-cache
         // repairs and decoded dispatch must reproduce the scan engine's
         // schedule exactly.
         for profiled in [false, true] {
-            let mut reference =
-                Machine::new(MachineConfig::baseline(), contention_program()).unwrap();
-            reference.set_engine(EngineKind::Scan);
-            if profiled {
-                reference.enable_profiling();
-            }
-            let b = reference.run(10_000).unwrap();
-            for kind in [EngineKind::Decoded, EngineKind::Event] {
-                let mut fast =
-                    Machine::new(MachineConfig::baseline(), contention_program()).unwrap();
-                fast.set_engine(kind);
+            let run = |kind| {
+                let mut m = Machine::new(MachineConfig::baseline(), contention_program()).unwrap();
+                m.set_engine(kind);
                 if profiled {
-                    fast.enable_profiling();
+                    m.enable_profiling();
                 }
-                let a = fast.run(10_000).unwrap();
-                assert_eq!(
-                    a,
-                    b,
-                    "{} engine diverges from scan (profiled={profiled})",
-                    kind.name()
-                );
-            }
+                m.run(10_000).unwrap()
+            };
+            assert_eq!(
+                run(EngineKind::Decoded),
+                run(EngineKind::Scan),
+                "decoded engine diverges from scan (profiled={profiled})"
+            );
         }
     }
 
@@ -3038,7 +3003,7 @@ mod tests {
     fn set_engine_round_trips_every_kind() {
         let mut m = Machine::new(MachineConfig::baseline(), contention_program()).unwrap();
         assert_eq!(m.engine(), EngineKind::Decoded);
-        for kind in [EngineKind::Scan, EngineKind::Event, EngineKind::Decoded] {
+        for kind in [EngineKind::Scan, EngineKind::Decoded] {
             m.set_engine(kind);
             assert_eq!(m.engine(), kind);
         }
@@ -3046,7 +3011,7 @@ mod tests {
 
     #[test]
     fn host_telemetry_never_perturbs_the_run() {
-        for kind in [EngineKind::Decoded, EngineKind::Event, EngineKind::Scan] {
+        for kind in [EngineKind::Decoded, EngineKind::Scan] {
             let mut plain = Machine::new(MachineConfig::baseline(), contention_program()).unwrap();
             plain.set_engine(kind);
             let want = plain.run(100_000).unwrap();
@@ -3081,11 +3046,7 @@ mod tests {
 
     #[test]
     fn engine_kind_parses_and_prints() {
-        for (s, k) in [
-            ("decoded", EngineKind::Decoded),
-            ("event", EngineKind::Event),
-            ("scan", EngineKind::Scan),
-        ] {
+        for (s, k) in [("decoded", EngineKind::Decoded), ("scan", EngineKind::Scan)] {
             assert_eq!(s.parse::<EngineKind>().unwrap(), k);
             assert_eq!(k.name(), s);
         }

@@ -9,8 +9,10 @@
 //! profiling off) the hot loop takes a single predicted branch and
 //! allocates nothing, exactly as before.
 //!
-//! Three sinks ship with the simulator:
+//! Four sinks ship with the simulator:
 //!
+//! * `Vec<`[`TraceEvent`]`>` — the issue trace: keeps every `issue`
+//!   event, as input to the [`crate::trace`] interleaving renderers;
 //! * [`RingSink`] — a bounded in-memory ring buffer (keeps the last *N*
 //!   events; per-kind counts are exact over the whole run);
 //! * [`JsonlSink`] — one JSON object per line, streamed to any
@@ -102,7 +104,7 @@ impl StallCause {
 /// ids are dense spawn-order ids (matching [`crate::RunStats`] vectors).
 #[derive(Debug, Clone, PartialEq)]
 pub enum ProbeEvent {
-    /// An operation issued (the payload is the legacy trace record, so
+    /// An operation issued (the payload is the issue-trace record, so
     /// the Figure 1/2 renderers consume the same stream).
     Issue(TraceEvent),
     /// A live thread issued nothing this cycle; `cause` is the primary
@@ -370,17 +372,6 @@ impl RingSink {
         self.buf.iter()
     }
 
-    /// Retained `issue` events as legacy trace records (renderer input).
-    pub fn issue_events(&self) -> Vec<TraceEvent> {
-        self.buf
-            .iter()
-            .filter_map(|e| match e {
-                ProbeEvent::Issue(t) => Some(t.clone()),
-                _ => None,
-            })
-            .collect()
-    }
-
     /// Exact per-kind counts over the whole run (not just retained).
     pub fn counts(&self) -> EventCounts {
         self.counts
@@ -400,6 +391,15 @@ impl Probe for RingSink {
             self.dropped += 1;
         }
         self.buf.push_back(e.clone());
+    }
+}
+
+/// The issue trace: records every `issue` event and ignores the rest.
+impl Probe for Vec<TraceEvent> {
+    fn event(&mut self, e: &ProbeEvent) {
+        if let ProbeEvent::Issue(t) = e {
+            self.push(t.clone());
+        }
     }
 }
 
@@ -747,7 +747,22 @@ mod tests {
         assert_eq!(ring.dropped(), 4);
         let cycles: Vec<u64> = ring.events().map(ProbeEvent::cycle).collect();
         assert_eq!(cycles, vec![4, 5]);
-        assert_eq!(ring.issue_events().len(), 1);
+    }
+
+    #[test]
+    fn trace_sink_keeps_only_issues() {
+        let mut trace: Vec<TraceEvent> = Vec::new();
+        trace.event(&issue(3, 1, 2));
+        trace.event(&ProbeEvent::Stall {
+            cycle: 4,
+            thread: 2,
+            cause: StallCause::EmptyRow,
+            class: None,
+            at: None,
+        });
+        trace.event(&issue(5, 0, 1));
+        let cycles: Vec<u64> = trace.iter().map(|t| t.cycle).collect();
+        assert_eq!(cycles, vec![3, 5]);
     }
 
     #[test]

@@ -2,6 +2,10 @@
 //! unit, and a renderer reproducing the interleaving diagrams of the
 //! paper's Figures 1 and 2.
 //!
+//! A trace is recorded by attaching a `Vec<TraceEvent>` as the machine's
+//! [`crate::Probe`] sink: it keeps every `issue` event. Attach it through
+//! an `Rc<RefCell<_>>` handle to read it back after the run.
+//!
 //! The renderers are **cycle-indexed**: events are bucketed into a
 //! `(cycle, unit)` grid in one pass, so rendering an `R`-cycle window
 //! over `E` events costs `O(E + R·U)` instead of the old `O(R·U·E)`
