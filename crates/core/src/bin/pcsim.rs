@@ -328,21 +328,36 @@ const TABLES: [&str; 9] = [
     "scaling",
 ];
 
+/// Rejects bad command-line input: `pcsim: <message>`, exit status 2.
+fn reject(message: String) -> ! {
+    eprintln!("pcsim: {message}");
+    std::process::exit(2);
+}
+
 fn cmd_tables(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    let which = args
-        .first()
-        .filter(|a| !a.starts_with("--"))
-        .map(String::as_str)
-        .unwrap_or("");
-    let jobs = match flag_value(args, "--jobs") {
-        Some(s) => s.parse::<usize>()?.max(1),
-        None => coupling::default_jobs(),
-    };
-    if !which.is_empty() && !TABLES.contains(&which) {
-        eprintln!("pcsim: unknown table \"{which}\"");
-        std::process::exit(2);
+    let mut which: Option<&str> = None;
+    let mut jobs = coupling::default_jobs();
+    let mut args = args.iter().map(String::as_str);
+    while let Some(arg) = args.next() {
+        match arg {
+            "--jobs" => {
+                let Some(value) = args.next() else {
+                    reject("--jobs needs a value".into())
+                };
+                let Ok(n) = value.parse::<usize>() else {
+                    reject(format!("--jobs value {value:?} is not a number"))
+                };
+                jobs = n.max(1);
+            }
+            flag if flag.starts_with('-') => reject(format!("unknown flag {flag:?} for tables")),
+            name if !TABLES.contains(&name) => reject(format!("unknown table {name:?}")),
+            name => match which {
+                Some(first) => reject(format!("one table at a time: got {first:?} and {name:?}")),
+                None => which = Some(name),
+            },
+        }
     }
-    let want = |k: &str| which.is_empty() || which == k;
+    let want = |k: &str| which.map_or(true, |w| w == k);
     if want("table2") || want("fig5") {
         // Table 2 and Figure 5 are two views of the same grid.
         let results = baseline::run_jobs(jobs)?;

@@ -12,8 +12,12 @@
 use crate::benchmarks::Benchmark;
 use crate::mode::MachineMode;
 use crate::report::{f2, Table};
-use crate::runner::{run_benchmark, RunError};
-use pc_isa::{ArbitrationPolicy, InterconnectScheme, MachineConfig};
+use crate::runner::RunError;
+use crate::sweep::{run_points, Point};
+use pc_compiler::CompileOptions;
+use pc_isa::{
+    ArbitrationPolicy, ClusterConfig, InterconnectScheme, MachineConfig, MemoryModel, UnitClass,
+};
 
 /// One named configuration point of an ablation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -75,295 +79,201 @@ impl AblationResults {
     }
 }
 
-fn sweep(
-    name: &'static str,
+/// One ablation study as data: every benchmark runs under `mode` on
+/// each labelled (machine, compiler options) variant.
+#[derive(Debug, Clone)]
+pub struct Study {
+    /// Study name (the rendered table's title).
+    pub name: &'static str,
+    /// Machine mode every variant runs in.
+    pub mode: MachineMode,
+    /// `(label, machine, compiler options)` per variant; the first is
+    /// the "vs first" baseline of the rendered table.
+    pub variants: Vec<(&'static str, MachineConfig, CompileOptions)>,
+}
+
+/// The ten design-choice studies, in the order `pcsim tables ablations`
+/// prints them.
+pub fn studies() -> Vec<Study> {
+    use ArbitrationPolicy::{FixedPriority, RoundRobin};
+    use MachineMode::{Coupled, Sts};
+    let base = MachineConfig::baseline;
+    let tri_port = || base().with_interconnect(InterconnectScheme::TriPort);
+    // `n` arithmetic clusters plus one branch cluster.
+    let node = |n| {
+        let mut clusters = vec![ClusterConfig::arithmetic(); n];
+        clusters.push(ClusterConfig::branch());
+        MachineConfig::new(clusters)
+    };
+    let banked = |n| base().with_memory(MemoryModel::min().with_banks(n));
+    let fpu_lat = |n| base().with_unit_latency(UnitClass::Float, n);
+    // A variant of the machine, or of the compiler on the baseline one.
+    let on = |label, config| (label, config, CompileOptions::default());
+    let compiled = |label, optimize, licm| (label, base(), CompileOptions { optimize, licm });
+    vec![
+        Study {
+            name: "intra-row slip vs lockstep issue (Coupled)",
+            mode: Coupled,
+            variants: vec![
+                on("slip", base()),
+                on("lockstep", base().with_lockstep_issue(true)),
+            ],
+        },
+        Study {
+            name: "unit arbitration policy (Coupled)",
+            mode: Coupled,
+            variants: vec![
+                on("round-robin", base().with_arbitration(RoundRobin)),
+                on("fixed-priority", base().with_arbitration(FixedPriority)),
+            ],
+        },
+        // With one destination every cross-cluster value costs a move.
+        Study {
+            name: "destination-register budget (Coupled)",
+            mode: Coupled,
+            variants: vec![
+                on("1 dst", base().with_max_dsts(1)),
+                on("2 dsts", base().with_max_dsts(2)),
+                on("3 dsts", base().with_max_dsts(3)),
+            ],
+        },
+        Study {
+            name: "writeback buffer depth under Tri-Port (Coupled)",
+            mode: Coupled,
+            variants: vec![
+                on("depth 1", tri_port().with_wb_buffer(1)),
+                on("depth 2", tri_port().with_wb_buffer(2)),
+                on("depth 4", tri_port().with_wb_buffer(4)),
+                on("depth 8", tri_port().with_wb_buffer(8)),
+            ],
+        },
+        // The paper: "simulation showed that a single branch unit is
+        // sufficient" (§4, Number and Mix).
+        Study {
+            name: "branch clusters (Coupled)",
+            mode: Coupled,
+            variants: vec![
+                on("2 branch clusters", base()),
+                on("1 branch cluster", node(4)),
+            ],
+        },
+        // The paper's intro: coupling is "useful in machines ranging
+        // from workstations based upon a single multi-ALU node to
+        // massively parallel machines"; this sweeps the node's width.
+        Study {
+            name: "arithmetic cluster count (Coupled)",
+            mode: Coupled,
+            variants: vec![
+                on("1 cluster (workstation)", node(1)),
+                on("2 clusters", node(2)),
+                on("4 clusters", node(4)),
+            ],
+        },
+        // The paper assumes "a memory operation can always access the
+        // necessary bank"; this measures what that idealization hides
+        // with 4 or 8 interleaved banks.
+        Study {
+            name: "memory bank conflicts (Coupled)",
+            mode: Coupled,
+            variants: vec![
+                on("no conflicts", base()),
+                on("8 banks", banked(8)),
+                on("4 banks", banked(4)),
+            ],
+        },
+        // "A unit may be pipelined to arbitrary depth" (§2);
+        // multithreading hides the deeper pipelines much as it hides
+        // memory latency.
+        Study {
+            name: "floating-point pipeline depth (Coupled)",
+            mode: Coupled,
+            variants: vec![
+                on("fpu lat 1", base()),
+                on("fpu lat 2", fpu_lat(2)),
+                on("fpu lat 4", fpu_lat(4)),
+            ],
+        },
+        // The paper's compiler "performs several optimizations"; this
+        // measures what they buy end to end.
+        Study {
+            name: "compiler optimizations (Coupled)",
+            mode: Coupled,
+            variants: vec![
+                compiled("optimized", true, false),
+                compiled("naive", false, false),
+            ],
+        },
+        // The §7 "better compilation" extension: the paper's own
+        // compiler never moves code across basic blocks. Run in STS
+        // mode, where static schedule quality matters most.
+        Study {
+            name: "loop-invariant code motion (STS)",
+            mode: Sts,
+            variants: vec![
+                compiled("paper-faithful", true, false),
+                compiled("with LICM", true, true),
+            ],
+        },
+    ]
+}
+
+/// Runs `studies` over `benches` as one grid on `jobs` worker threads
+/// and regroups the rows per study: study-major, then benchmark, then
+/// variant, whatever `jobs` is.
+///
+/// # Errors
+/// Propagates the first (lowest grid-index) failure.
+pub fn run(
+    studies: &[Study],
     benches: &[Benchmark],
-    mode: MachineMode,
-    variants: &[(&str, MachineConfig)],
-) -> Result<AblationResults, RunError> {
-    let mut rows = Vec::new();
-    for b in benches {
-        for (label, config) in variants {
-            let out = run_benchmark(b, mode, config.clone())?;
-            rows.push(AblationRow {
-                bench: b.name.to_string(),
-                variant: label.to_string(),
-                cycles: out.stats.cycles,
-            });
+    jobs: usize,
+) -> Result<Vec<AblationResults>, RunError> {
+    let mut points = Vec::new();
+    for study in studies {
+        for b in benches {
+            for (_, config, options) in &study.variants {
+                points.push(Point {
+                    options: *options,
+                    ..Point::new(b, study.mode, config.clone())
+                });
+            }
         }
     }
-    Ok(AblationResults { name, rows })
-}
-
-/// Intra-row slip vs strict lockstep issue, Coupled mode.
-///
-/// # Errors
-/// Propagates pipeline failures.
-pub fn slip(benches: &[Benchmark]) -> Result<AblationResults, RunError> {
-    sweep(
-        "intra-row slip vs lockstep issue (Coupled)",
-        benches,
-        MachineMode::Coupled,
-        &[
-            ("slip", MachineConfig::baseline()),
-            (
-                "lockstep",
-                MachineConfig::baseline().with_lockstep_issue(true),
-            ),
-        ],
-    )
-}
-
-/// Round-robin vs fixed-priority arbitration, Coupled mode.
-///
-/// # Errors
-/// Propagates pipeline failures.
-pub fn arbitration(benches: &[Benchmark]) -> Result<AblationResults, RunError> {
-    sweep(
-        "unit arbitration policy (Coupled)",
-        benches,
-        MachineMode::Coupled,
-        &[
-            (
-                "round-robin",
-                MachineConfig::baseline().with_arbitration(ArbitrationPolicy::RoundRobin),
-            ),
-            (
-                "fixed-priority",
-                MachineConfig::baseline().with_arbitration(ArbitrationPolicy::FixedPriority),
-            ),
-        ],
-    )
-}
-
-/// Destination-register budget (1, the paper's 2, and 3), Coupled mode.
-/// With a single destination every cross-cluster value costs an explicit
-/// move.
-///
-/// # Errors
-/// Propagates pipeline failures.
-pub fn dual_destinations(benches: &[Benchmark]) -> Result<AblationResults, RunError> {
-    sweep(
-        "destination-register budget (Coupled)",
-        benches,
-        MachineMode::Coupled,
-        &[
-            ("1 dst", MachineConfig::baseline().with_max_dsts(1)),
-            ("2 dsts", MachineConfig::baseline().with_max_dsts(2)),
-            ("3 dsts", MachineConfig::baseline().with_max_dsts(3)),
-        ],
-    )
-}
-
-/// Writeback-buffer depth under the Tri-Port interconnect, Coupled mode.
-///
-/// # Errors
-/// Propagates pipeline failures.
-pub fn wb_buffering(benches: &[Benchmark]) -> Result<AblationResults, RunError> {
-    let base = || MachineConfig::baseline().with_interconnect(InterconnectScheme::TriPort);
-    sweep(
-        "writeback buffer depth under Tri-Port (Coupled)",
-        benches,
-        MachineMode::Coupled,
-        &[
-            ("depth 1", base().with_wb_buffer(1)),
-            ("depth 2", base().with_wb_buffer(2)),
-            ("depth 4", base().with_wb_buffer(4)),
-            ("depth 8", base().with_wb_buffer(8)),
-        ],
-    )
-}
-
-/// Arithmetic-cluster count 1/2/4 (Coupled mode) — the paper's intro:
-/// coupling is "useful in machines ranging from workstations based upon a
-/// single multi-ALU node to massively parallel machines"; this sweeps the
-/// node's width.
-///
-/// # Errors
-/// Propagates pipeline failures.
-pub fn cluster_count(benches: &[Benchmark]) -> Result<AblationResults, RunError> {
-    let node = |n: usize| {
-        let mut clusters = vec![pc_isa::ClusterConfig::arithmetic(); n];
-        clusters.push(pc_isa::ClusterConfig::branch());
-        MachineConfig::new(clusters)
+    let mut cycles = run_points(&points, jobs, |_, _, run| run.stats.cycles)?.into_iter();
+    let regroup = |study: &Study| {
+        let labels = benches.iter().flat_map(|b| {
+            study
+                .variants
+                .iter()
+                .map(move |(label, ..)| (b.name, label))
+        });
+        let rows = labels
+            .zip(cycles.by_ref())
+            .map(|((bench, variant), cycles)| AblationRow {
+                bench: bench.to_string(),
+                variant: variant.to_string(),
+                cycles,
+            })
+            .collect();
+        AblationResults {
+            name: study.name,
+            rows,
+        }
     };
-    sweep(
-        "arithmetic cluster count (Coupled)",
-        benches,
-        MachineMode::Coupled,
-        &[
-            ("1 cluster (workstation)", node(1)),
-            ("2 clusters", node(2)),
-            ("4 clusters", node(4)),
-        ],
-    )
+    Ok(studies.iter().map(regroup).collect())
 }
 
-/// Bank conflicts on vs off (Coupled mode) — the paper assumes "a memory
-/// operation can always access the necessary bank"; this measures what
-/// that idealization hides with 4 or 8 interleaved banks.
+/// Runs every study on the fast benchmarks over `jobs` worker threads.
 ///
 /// # Errors
-/// Propagates pipeline failures.
-pub fn bank_conflicts(benches: &[Benchmark]) -> Result<AblationResults, RunError> {
-    let banked =
-        |n| MachineConfig::baseline().with_memory(pc_isa::MemoryModel::min().with_banks(n));
-    sweep(
-        "memory bank conflicts (Coupled)",
-        benches,
-        MachineMode::Coupled,
-        &[
-            ("no conflicts", MachineConfig::baseline()),
-            ("8 banks", banked(8)),
-            ("4 banks", banked(4)),
-        ],
-    )
-}
-
-/// Branch-cluster count (Coupled mode) — the paper: "simulation showed
-/// that a single branch unit is sufficient" (§4, Number and Mix).
-///
-/// # Errors
-/// Propagates pipeline failures.
-pub fn branch_units(benches: &[Benchmark]) -> Result<AblationResults, RunError> {
-    let one_branch = {
-        let mut clusters = vec![pc_isa::ClusterConfig::arithmetic(); 4];
-        clusters.push(pc_isa::ClusterConfig::branch());
-        MachineConfig::new(clusters)
-    };
-    sweep(
-        "branch clusters (Coupled)",
-        benches,
-        MachineMode::Coupled,
-        &[
-            ("2 branch clusters", MachineConfig::baseline()),
-            ("1 branch cluster", one_branch),
-        ],
-    )
-}
-
-/// Floating-point pipeline depth 1–4 (Coupled mode) — "a unit may be
-/// pipelined to arbitrary depth" (§2); multithreading hides the deeper
-/// pipelines much as it hides memory latency.
-///
-/// # Errors
-/// Propagates pipeline failures.
-pub fn fpu_depth(benches: &[Benchmark]) -> Result<AblationResults, RunError> {
-    sweep(
-        "floating-point pipeline depth (Coupled)",
-        benches,
-        MachineMode::Coupled,
-        &[
-            ("fpu lat 1", MachineConfig::baseline()),
-            (
-                "fpu lat 2",
-                MachineConfig::baseline().with_unit_latency(pc_isa::UnitClass::Float, 2),
-            ),
-            (
-                "fpu lat 4",
-                MachineConfig::baseline().with_unit_latency(pc_isa::UnitClass::Float, 4),
-            ),
-        ],
-    )
-}
-
-/// Compiler optimizations on vs off (Coupled mode) — the paper's
-/// compiler "performs several optimizations"; this measures what they
-/// buy end to end.
-///
-/// # Errors
-/// Propagates pipeline failures.
-pub fn optimizer(benches: &[Benchmark]) -> Result<AblationResults, RunError> {
-    let mut rows = Vec::new();
-    for b in benches {
-        for (label, optimize) in [("optimized", true), ("naive", false)] {
-            let out = crate::runner::run_benchmark_with_options(
-                b,
-                MachineMode::Coupled,
-                MachineConfig::baseline(),
-                pc_compiler::CompileOptions {
-                    optimize,
-                    licm: false,
-                },
-            )?;
-            rows.push(AblationRow {
-                bench: b.name.to_string(),
-                variant: label.to_string(),
-                cycles: out.stats.cycles,
-            });
-        }
-    }
-    Ok(AblationResults {
-        name: "compiler optimizations (Coupled)",
-        rows,
-    })
-}
-
-/// Loop-invariant code motion on vs off — the §7 "better compilation"
-/// extension; the paper's own compiler never moves code across basic
-/// blocks. Run in STS mode where static schedule quality matters most.
-///
-/// # Errors
-/// Propagates pipeline failures.
-pub fn licm(benches: &[Benchmark]) -> Result<AblationResults, RunError> {
-    let mut rows = Vec::new();
-    for b in benches {
-        for (label, licm) in [("paper-faithful", false), ("with LICM", true)] {
-            let out = crate::runner::run_benchmark_with_options(
-                b,
-                MachineMode::Sts,
-                MachineConfig::baseline(),
-                pc_compiler::CompileOptions {
-                    optimize: true,
-                    licm,
-                },
-            )?;
-            rows.push(AblationRow {
-                bench: b.name.to_string(),
-                variant: label.to_string(),
-                cycles: out.stats.cycles,
-            });
-        }
-    }
-    Ok(AblationResults {
-        name: "loop-invariant code motion (STS)",
-        rows,
-    })
-}
-
-/// Runs every ablation on the fast benchmarks.
-///
-/// # Errors
-/// Propagates pipeline failures.
-pub fn run_all() -> Result<Vec<AblationResults>, RunError> {
-    run_all_jobs(1)
-}
-
-/// Runs every ablation, fanning the independent studies over `jobs`
-/// worker threads with serial-identical study ordering.
-///
-/// # Errors
-/// Propagates the first (lowest study-index) failure.
+/// Propagates the first (lowest grid-index) failure.
 pub fn run_all_jobs(jobs: usize) -> Result<Vec<AblationResults>, RunError> {
-    let benches = vec![
+    let benches = [
         crate::benchmarks::matrix(),
         crate::benchmarks::fft(),
         crate::benchmarks::model(),
     ];
-    type Study = fn(&[Benchmark]) -> Result<AblationResults, RunError>;
-    let studies: [Study; 10] = [
-        slip,
-        arbitration,
-        dual_destinations,
-        wb_buffering,
-        branch_units,
-        cluster_count,
-        bank_conflicts,
-        fpu_depth,
-        optimizer,
-        licm,
-    ];
-    crate::sweep::try_par_map(&studies, jobs, |study| study(&benches))
+    run(&studies(), &benches, jobs)
 }
 
 #[cfg(test)]
@@ -371,9 +281,18 @@ mod tests {
     use super::*;
     use crate::benchmarks;
 
+    /// Runs the study whose name starts with `name` over `benches`.
+    fn study(name: &str, benches: &[Benchmark]) -> AblationResults {
+        let study = studies()
+            .into_iter()
+            .find(|s| s.name.starts_with(name))
+            .expect("a known study");
+        run(&[study], benches, 1).unwrap().remove(0)
+    }
+
     #[test]
     fn slip_beats_lockstep() {
-        let r = slip(&[benchmarks::matrix()]).unwrap();
+        let r = study("intra-row slip", &[benchmarks::matrix()]);
         let with = r.cycles("Matrix", "slip").unwrap();
         let without = r.cycles("Matrix", "lockstep").unwrap();
         assert!(
@@ -385,14 +304,14 @@ mod tests {
 
     #[test]
     fn arbitration_policies_both_validate() {
-        let r = arbitration(&[benchmarks::fft()]).unwrap();
+        let r = study("unit arbitration", &[benchmarks::fft()]);
         assert!(r.cycles("FFT", "round-robin").is_some());
         assert!(r.cycles("FFT", "fixed-priority").is_some());
     }
 
     #[test]
     fn single_destination_costs_cycles() {
-        let r = dual_destinations(&[benchmarks::matrix()]).unwrap();
+        let r = study("destination-register", &[benchmarks::matrix()]);
         let one = r.cycles("Matrix", "1 dst").unwrap();
         let two = r.cycles("Matrix", "2 dsts").unwrap();
         assert!(one >= two, "1 dst {one} vs 2 dsts {two}");
@@ -406,7 +325,7 @@ mod tests {
 
     #[test]
     fn wider_nodes_speed_up_threaded_code() {
-        let r = cluster_count(&[benchmarks::matrix()]).unwrap();
+        let r = study("arithmetic cluster", &[benchmarks::matrix()]);
         let one = r.cycles("Matrix", "1 cluster (workstation)").unwrap();
         let two = r.cycles("Matrix", "2 clusters").unwrap();
         let four = r.cycles("Matrix", "4 clusters").unwrap();
@@ -424,25 +343,20 @@ mod tests {
         // At benchmark scale, second-order arbitration effects can swing a
         // couple of percent either way; the cycle assertion uses slack and
         // the mechanism is verified through the wait counter.
-        let r = bank_conflicts(&[benchmarks::matrix()]).unwrap();
+        let r = study("memory bank", &[benchmarks::matrix()]);
         let ideal = r.cycles("Matrix", "no conflicts").unwrap() as f64;
         let four = r.cycles("Matrix", "4 banks").unwrap() as f64;
         assert!(four >= 0.95 * ideal, "4 banks {four} vs ideal {ideal}");
-        let out = crate::runner::run_benchmark(
-            &benchmarks::matrix(),
-            MachineMode::Coupled,
-            MachineConfig::baseline().with_memory(pc_isa::MemoryModel::min().with_banks(2)),
-        )
-        .unwrap();
-        assert!(
-            out.stats.mem.bank_wait_cycles > 0,
-            "2-bank Matrix should see bank waits"
-        );
+        let matrix = benchmarks::matrix();
+        let two_banks = MachineConfig::baseline().with_memory(MemoryModel::min().with_banks(2));
+        let point = Point::new(&matrix, MachineMode::Coupled, two_banks);
+        let waits = run_points(&[point], 1, |_, _, run| run.stats.mem.bank_wait_cycles).unwrap();
+        assert!(waits[0] > 0, "2-bank Matrix should see bank waits");
     }
 
     #[test]
     fn one_branch_cluster_is_nearly_sufficient() {
-        let r = branch_units(&[benchmarks::matrix()]).unwrap();
+        let r = study("branch clusters", &[benchmarks::matrix()]);
         let two = r.cycles("Matrix", "2 branch clusters").unwrap();
         let one = r.cycles("Matrix", "1 branch cluster").unwrap();
         // Paper: a single branch unit suffices; allow modest slack.
@@ -455,7 +369,7 @@ mod tests {
 
     #[test]
     fn deeper_fpu_pipelines_cost_but_validate() {
-        let r = fpu_depth(&[benchmarks::matrix()]).unwrap();
+        let r = study("floating-point pipeline", &[benchmarks::matrix()]);
         let d1 = r.cycles("Matrix", "fpu lat 1").unwrap();
         let d4 = r.cycles("Matrix", "fpu lat 4").unwrap();
         assert!(d4 > d1, "lat 4 {d4} vs lat 1 {d1}");
@@ -465,8 +379,8 @@ mod tests {
 
     #[test]
     fn licm_helps_or_holds_and_validates() {
-        // run_benchmark validates numerically in both configurations.
-        let r = licm(&[benchmarks::matrix(), benchmarks::lud()]).unwrap();
+        // run_points validates numerically in both configurations.
+        let r = study("loop-invariant", &[benchmarks::matrix(), benchmarks::lud()]);
         for bench in ["Matrix", "LUD"] {
             let faithful = r.cycles(bench, "paper-faithful").unwrap() as f64;
             let hoisted = r.cycles(bench, "with LICM").unwrap() as f64;
@@ -479,8 +393,8 @@ mod tests {
 
     #[test]
     fn optimizations_pay_and_never_change_results() {
-        // run_benchmark validates numerically either way.
-        let r = optimizer(&[benchmarks::matrix()]).unwrap();
+        // run_points validates numerically either way.
+        let r = study("compiler optimizations", &[benchmarks::matrix()]);
         let opt = r.cycles("Matrix", "optimized").unwrap();
         let naive = r.cycles("Matrix", "naive").unwrap();
         assert!(naive > opt, "naive {naive} vs optimized {opt}");
@@ -488,7 +402,7 @@ mod tests {
 
     #[test]
     fn deeper_writeback_buffers_help_under_contention() {
-        let r = wb_buffering(&[benchmarks::matrix()]).unwrap();
+        let r = study("writeback buffer", &[benchmarks::matrix()]);
         let d1 = r.cycles("Matrix", "depth 1").unwrap();
         let d8 = r.cycles("Matrix", "depth 8").unwrap();
         assert!(d8 <= d1, "depth 8 {d8} vs depth 1 {d1}");

@@ -4,8 +4,9 @@
 use crate::benchmarks::Benchmark;
 use crate::mode::MachineMode;
 use crate::report::{f2, Table};
-use crate::runner::{run_benchmark, RunError};
-use pc_isa::{MachineConfig, UnitClass};
+use crate::runner::RunError;
+use crate::sweep::run_points;
+use pc_isa::UnitClass;
 use std::collections::BTreeMap;
 
 /// One benchmark × mode measurement.
@@ -90,54 +91,26 @@ impl BaselineResults {
 }
 
 /// Runs the baseline study over `benches` (every mode each benchmark
-/// supports) on the paper's baseline machine.
-///
-/// # Errors
-/// Propagates the first compile/simulate/validate failure.
-pub fn run_with(benches: &[Benchmark]) -> Result<BaselineResults, RunError> {
-    run_with_jobs(benches, 1)
-}
-
-/// [`run_with`] fanning the benchmark × mode grid over `jobs` worker
-/// threads ([`crate::sweep::try_par_map`]); the rows come back in the
-/// same order as the serial sweep.
+/// supports) on the paper's baseline machine, fanning the benchmark ×
+/// mode grid over `jobs` worker threads; the rows come back in grid
+/// order whatever `jobs` is.
 ///
 /// # Errors
 /// Propagates the first (lowest grid-index) failure.
 pub fn run_with_jobs(benches: &[Benchmark], jobs: usize) -> Result<BaselineResults, RunError> {
-    let points: Vec<(&Benchmark, MachineMode)> = benches
-        .iter()
-        .flat_map(|b| {
-            MachineMode::all()
-                .into_iter()
-                .filter(|&mode| b.source(mode).is_some())
-                .map(move |mode| (b, mode))
-        })
-        .collect();
-    let rows = crate::sweep::try_par_map(&points, jobs, |&(b, mode)| -> Result<_, RunError> {
-        let out = run_benchmark(b, mode, MachineConfig::baseline())?;
-        let utilization = UnitClass::all()
+    let points = super::every_mode(benches);
+    let rows = run_points(&points, jobs, |p, image, run| BaselineRow {
+        bench: p.bench.name.to_string(),
+        mode: p.mode,
+        cycles: run.stats.cycles,
+        ops: run.stats.ops_issued,
+        utilization: UnitClass::all()
             .into_iter()
-            .map(|c| (c, out.stats.utilization(c)))
-            .collect();
-        Ok(BaselineRow {
-            bench: b.name.to_string(),
-            mode,
-            cycles: out.stats.cycles,
-            ops: out.stats.ops_issued,
-            utilization,
-            peak_registers: out.peak_registers,
-        })
+            .map(|c| (c, run.stats.utilization(c)))
+            .collect(),
+        peak_registers: image.peak_registers,
     })?;
     Ok(BaselineResults { rows })
-}
-
-/// Runs the full suite.
-///
-/// # Errors
-/// Propagates the first failure.
-pub fn run() -> Result<BaselineResults, RunError> {
-    run_with(&crate::benchmarks::all())
 }
 
 /// Runs the full suite on `jobs` worker threads.
@@ -155,7 +128,7 @@ mod tests {
 
     #[test]
     fn matrix_baseline_orderings_match_paper() {
-        let r = run_with(&[benchmarks::matrix()]).unwrap();
+        let r = run_with_jobs(&[benchmarks::matrix()], 1).unwrap();
         let seq = r.cycles("Matrix", MachineMode::Seq).unwrap();
         let sts = r.cycles("Matrix", MachineMode::Sts).unwrap();
         let tpe = r.cycles("Matrix", MachineMode::Tpe).unwrap();
@@ -174,7 +147,7 @@ mod tests {
 
     #[test]
     fn tables_render() {
-        let r = run_with(&[benchmarks::matrix()]).unwrap();
+        let r = run_with_jobs(&[benchmarks::matrix()], 1).unwrap();
         let t2 = r.table2().render();
         assert!(t2.contains("Matrix"));
         assert!(t2.contains("Ideal"));

@@ -6,7 +6,8 @@
 use crate::benchmarks::Benchmark;
 use crate::mode::MachineMode;
 use crate::report::{f2, Table};
-use crate::runner::{run_benchmark, RunError};
+use crate::runner::RunError;
+use crate::sweep::{run_points, Point};
 use pc_isa::{InterconnectScheme, MachineConfig};
 use pc_xconn::area;
 
@@ -87,48 +88,34 @@ impl CommResults {
     }
 }
 
-/// Runs the communication study over `benches`.
-///
-/// # Errors
-/// Propagates pipeline failures.
-pub fn run_with(benches: &[Benchmark]) -> Result<CommResults, RunError> {
-    run_with_jobs(benches, 1)
-}
-
-/// [`run_with`] fanning the benchmark × scheme grid over `jobs` worker
-/// threads with serial-identical row ordering.
+/// Runs the communication study over `benches`, fanning the benchmark ×
+/// scheme grid over `jobs` worker threads with serial-identical row
+/// ordering.
 ///
 /// # Errors
 /// Propagates the first (lowest grid-index) failure.
 pub fn run_with_jobs(benches: &[Benchmark], jobs: usize) -> Result<CommResults, RunError> {
-    let points: Vec<(&Benchmark, InterconnectScheme)> = benches
-        .iter()
-        .flat_map(|b| InterconnectScheme::all().into_iter().map(move |s| (b, s)))
-        .collect();
-    let rows = crate::sweep::try_par_map(&points, jobs, |&(b, scheme)| -> Result<_, RunError> {
-        let config = MachineConfig::baseline().with_interconnect(scheme);
-        let out = run_benchmark(b, MachineMode::Coupled, config)?;
-        Ok(CommRow {
-            bench: b.name.to_string(),
-            scheme,
-            cycles: out.stats.cycles,
-            denials: out.stats.xconn.denials,
-        })
-    })?;
     let baseline = MachineConfig::baseline();
+    let points: Vec<Point<'_>> = benches
+        .iter()
+        .flat_map(|b| {
+            InterconnectScheme::all().into_iter().map(|scheme| {
+                let config = baseline.clone().with_interconnect(scheme);
+                Point::new(b, MachineMode::Coupled, config)
+            })
+        })
+        .collect();
+    let rows = run_points(&points, jobs, |p, _, run| CommRow {
+        bench: p.bench.name.to_string(),
+        scheme: p.config.interconnect,
+        cycles: run.stats.cycles,
+        denials: run.stats.xconn.denials,
+    })?;
     let area_ratios = InterconnectScheme::all()
         .into_iter()
         .map(|s| (s, area::ratio_to_full(&baseline, s)))
         .collect();
     Ok(CommResults { rows, area_ratios })
-}
-
-/// Runs the full suite.
-///
-/// # Errors
-/// Propagates pipeline failures.
-pub fn run() -> Result<CommResults, RunError> {
-    run_with(&crate::benchmarks::all())
 }
 
 /// Runs the full suite on `jobs` worker threads.
@@ -146,7 +133,7 @@ mod tests {
 
     #[test]
     fn restricting_ports_never_speeds_up_and_triport_stays_close() {
-        let r = run_with(&[benchmarks::matrix()]).unwrap();
+        let r = run_with_jobs(&[benchmarks::matrix()], 1).unwrap();
         let full = r.cycles("Matrix", InterconnectScheme::Full).unwrap();
         for scheme in InterconnectScheme::all() {
             let c = r.cycles("Matrix", scheme).unwrap();
@@ -173,7 +160,7 @@ mod tests {
 
     #[test]
     fn area_ratios_present_and_render() {
-        let r = run_with(&[benchmarks::matrix()]).unwrap();
+        let r = run_with_jobs(&[benchmarks::matrix()], 1).unwrap();
         assert_eq!(r.area_ratios.len(), 5);
         let tri = r
             .area_ratios

@@ -5,9 +5,12 @@
 
 use crate::benchmarks::{model_queue_coupled, model_queue_sts};
 use crate::report::{f2, Table};
-use crate::runner::{run_benchmark, RunError, RunOutcome};
+use crate::runner::RunError;
+use crate::sweep::{run_points, Point};
 use crate::MachineMode;
 use pc_isa::{ArbitrationPolicy, BranchOp, MachineConfig, OpKind, Program, SegmentId};
+use pc_sim::RunStats;
+use std::sync::Arc;
 
 /// Per-thread measurement.
 #[derive(Debug, Clone)]
@@ -110,15 +113,15 @@ fn mean(xs: &[u64]) -> f64 {
 
 /// Per-thread probe statistics of a run: `(thread id, mean interval,
 /// count)` for worker threads, ordered by priority.
-fn worker_probe_rows(out: &RunOutcome) -> Vec<(u32, f64, usize)> {
-    let mut threads: Vec<u32> = out.stats.probes.iter().map(|p| p.thread).collect();
+fn worker_probe_rows(stats: &RunStats) -> Vec<(u32, f64, usize)> {
+    let mut threads: Vec<u32> = stats.probes.iter().map(|p| p.thread).collect();
     threads.sort_unstable();
     threads.dedup();
     threads
         .into_iter()
         .map(|t| {
-            let intervals = out.stats.probe_intervals(t, 1);
-            (t, mean(&intervals), out.stats.probe_count(t, 1))
+            let intervals = stats.probe_intervals(t, 1);
+            (t, mean(&intervals), stats.probe_count(t, 1))
         })
         .collect()
 }
@@ -128,49 +131,44 @@ fn worker_probe_rows(out: &RunOutcome) -> Vec<(u32, f64, usize)> {
 /// # Errors
 /// Propagates pipeline failures.
 pub fn run() -> Result<InterferenceResults, RunError> {
-    // STS comparison point: one thread, unrestricted clusters.
-    let sts_bench = model_queue_sts();
-    let sts = run_benchmark(&sts_bench, MachineMode::Sts, MachineConfig::baseline())?;
-
-    // Coupled: four workers under fixed priority.
-    let coupled_bench = model_queue_coupled();
-    let config = MachineConfig::baseline().with_arbitration(ArbitrationPolicy::FixedPriority);
-    // Recompile to find per-segment static schedules.
-    let coupled = run_benchmark(&coupled_bench, MachineMode::Coupled, config)?;
+    let (sts_bench, coupled_bench) = (model_queue_sts(), model_queue_coupled());
+    let points = [
+        // STS comparison point: one thread, unrestricted clusters.
+        Point::new(&sts_bench, MachineMode::Sts, MachineConfig::baseline()),
+        // Coupled: four workers under fixed priority.
+        Point::new(
+            &coupled_bench,
+            MachineMode::Coupled,
+            MachineConfig::baseline().with_arbitration(ArbitrationPolicy::FixedPriority),
+        ),
+    ];
+    // Each run keeps its program, whose loops give the static schedules.
+    let runs = run_points(&points, 1, |_, image, run| {
+        (run.stats, Arc::clone(&image.program))
+    })?;
+    let [(sts, sts_program), (coupled, coupled_program)]: [_; 2] =
+        runs.try_into().expect("one run per point");
 
     let mut rows = Vec::new();
     // STS row: static loop of the main segment.
-    let sts_out = pc_compiler::compile(
-        &sts_bench.seq_src,
-        &MachineConfig::baseline(),
-        MachineMode::Sts.schedule_mode(),
-    )?;
-    let sts_probes = worker_probe_rows(&sts);
-    let (mut sts_rt, mut sts_devices) = (0.0, 20);
-    if let Some(&(_, m, n)) = sts_probes.first() {
-        sts_rt = m;
-        sts_devices = n;
-    }
+    let (_, sts_rt, sts_devices) = worker_probe_rows(&sts)
+        .first()
+        .copied()
+        .unwrap_or((0, 0.0, 20));
     rows.push(ThreadRow {
         mode: "STS",
         thread: 1,
-        compile_time_schedule: loop_body_rows(&sts_out.program, SegmentId(0)),
+        compile_time_schedule: loop_body_rows(&sts_program, SegmentId(0)),
         runtime_cycles: sts_rt,
         devices: sts_devices,
     });
 
     // Coupled rows: workers are threads 1..=4 (spawn order = priority).
-    let coupled_compile = pc_compiler::compile(
-        &coupled_bench.threaded_src,
-        &MachineConfig::baseline(),
-        MachineMode::Coupled.schedule_mode(),
-    )?;
     // Worker segments are the forall variants (ids 1..=k); report the
     // *shortest* variant's loop as the nominal compile-time schedule the
     // way the paper quotes one number per thread.
     for (i, (t, m, n)) in worker_probe_rows(&coupled).into_iter().enumerate() {
         let seg = coupled
-            .stats
             .thread_spans
             .get(t as usize)
             .map(|_| SegmentId(i as u32 + 1))
@@ -178,7 +176,7 @@ pub fn run() -> Result<InterferenceResults, RunError> {
         rows.push(ThreadRow {
             mode: "Coupled",
             thread: i + 1,
-            compile_time_schedule: loop_body_rows(&coupled_compile.program, seg),
+            compile_time_schedule: loop_body_rows(&coupled_program, seg),
             runtime_cycles: m,
             devices: n,
         });
@@ -186,8 +184,8 @@ pub fn run() -> Result<InterferenceResults, RunError> {
 
     Ok(InterferenceResults {
         rows,
-        sts_total: sts.stats.cycles,
-        coupled_total: coupled.stats.cycles,
+        sts_total: sts.cycles,
+        coupled_total: coupled.cycles,
     })
 }
 

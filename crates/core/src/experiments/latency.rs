@@ -6,7 +6,8 @@
 use crate::benchmarks::Benchmark;
 use crate::mode::MachineMode;
 use crate::report::{f2, Table};
-use crate::runner::{run_benchmark, RunError};
+use crate::runner::RunError;
+use crate::sweep::{run_points, Point};
 use pc_isa::{MachineConfig, MemoryModel};
 
 /// Seeds averaged per point (the miss pattern is random; the paper ran
@@ -109,63 +110,42 @@ pub fn modes() -> [MachineMode; 4] {
     ]
 }
 
-/// Runs the latency study over `benches`.
-///
-/// # Errors
-/// Propagates pipeline failures.
-pub fn run_with(benches: &[Benchmark]) -> Result<LatencyResults, RunError> {
-    run_with_jobs(benches, 1)
-}
-
-/// [`run_with`] fanning the benchmark × mode × memory-model grid over
-/// `jobs` worker threads. One grid point covers all of its seeds, so
-/// the per-row averages are computed exactly as in the serial sweep.
+/// Runs the latency study over `benches`, fanning one point per seed
+/// over `jobs` worker threads. Each row averages its seeds' cycles in
+/// seed order, exactly as a serial sweep would.
 ///
 /// # Errors
 /// Propagates the first (lowest grid-index) failure.
 pub fn run_with_jobs(benches: &[Benchmark], jobs: usize) -> Result<LatencyResults, RunError> {
-    let points: Vec<(&Benchmark, MachineMode, MemoryModel)> = benches
-        .iter()
-        .flat_map(|b| {
-            modes()
-                .into_iter()
-                .filter(|&mode| b.source(mode).is_some())
-                .flat_map(move |mode| {
-                    [MemoryModel::min(), MemoryModel::mem1(), MemoryModel::mem2()]
-                        .into_iter()
-                        .map(move |model| (b, mode, model))
-                })
+    // (benchmark, mode, memory model, seeds) per row, and the points
+    // those rows average, in the same order.
+    let mut rows = Vec::new();
+    let mut points = Vec::new();
+    for b in benches {
+        for mode in modes().into_iter().filter(|&mode| b.source(mode).is_some()) {
+            for model in [MemoryModel::min(), MemoryModel::mem1(), MemoryModel::mem2()] {
+                // Min is deterministic; one trial suffices.
+                let min = model == MemoryModel::min();
+                let seeds = if min { &SEEDS[..1] } else { &SEEDS[..] };
+                for &seed in seeds {
+                    let config = MachineConfig::baseline().with_memory(model).with_seed(seed);
+                    points.push(Point::new(b, mode, config));
+                }
+                rows.push((b.name, mode, model.label(), seeds.len()));
+            }
+        }
+    }
+    let mut cycles = run_points(&points, jobs, |_, _, run| run.stats.cycles)?.into_iter();
+    let rows = rows
+        .into_iter()
+        .map(|(bench, mode, memory, n)| LatencyRow {
+            bench: bench.to_string(),
+            mode,
+            memory,
+            cycles: cycles.by_ref().take(n).sum::<u64>() as f64 / n as f64,
         })
         .collect();
-    let rows =
-        crate::sweep::try_par_map(&points, jobs, |&(b, mode, model)| -> Result<_, RunError> {
-            let mut total = 0u64;
-            let mut n = 0u64;
-            for seed in SEEDS {
-                let config = MachineConfig::baseline().with_memory(model).with_seed(seed);
-                let out = run_benchmark(b, mode, config)?;
-                total += out.stats.cycles;
-                n += 1;
-                if model == MemoryModel::min() {
-                    break; // Min is deterministic; one trial suffices.
-                }
-            }
-            Ok(LatencyRow {
-                bench: b.name.to_string(),
-                mode,
-                memory: model.label(),
-                cycles: total as f64 / n as f64,
-            })
-        })?;
     Ok(LatencyResults { rows })
-}
-
-/// Runs the full suite.
-///
-/// # Errors
-/// Propagates pipeline failures.
-pub fn run() -> Result<LatencyResults, RunError> {
-    run_with(&crate::benchmarks::all())
 }
 
 /// Runs the full suite on `jobs` worker threads.
@@ -183,7 +163,7 @@ mod tests {
 
     #[test]
     fn threaded_modes_hide_latency_better_than_static() {
-        let r = run_with(&[benchmarks::matrix()]).unwrap();
+        let r = run_with_jobs(&[benchmarks::matrix()], 1).unwrap();
         let sts = r.slowdown("Matrix", MachineMode::Sts, "Mem2").unwrap();
         let coupled = r.slowdown("Matrix", MachineMode::Coupled, "Mem2").unwrap();
         assert!(

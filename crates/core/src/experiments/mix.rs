@@ -5,8 +5,9 @@
 use crate::benchmarks::Benchmark;
 use crate::mode::MachineMode;
 use crate::report::Table;
-use crate::runner::{run_benchmark, RunError};
-use pc_isa::MachineConfig;
+use crate::runner::RunError;
+use crate::sweep::{run_points, Point};
+use pc_isa::{MachineConfig, UnitClass};
 
 /// One benchmark × (IUs, FPUs) measurement.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -69,52 +70,31 @@ impl MixResults {
     }
 }
 
-/// Runs the mix study over `benches` on the full 4×4 grid.
-///
-/// # Errors
-/// Propagates pipeline failures.
-pub fn run_with(benches: &[Benchmark]) -> Result<MixResults, RunError> {
-    run_grid(benches, 4)
-}
-
-/// Runs on an `n × n` sub-grid (tests use 2×2 to stay fast).
-///
-/// # Errors
-/// Propagates pipeline failures.
-pub fn run_grid(benches: &[Benchmark], n: usize) -> Result<MixResults, RunError> {
-    run_grid_jobs(benches, n, 1)
-}
-
-/// [`run_grid`] fanning the benchmark × IU × FPU grid over `jobs`
-/// worker threads with serial-identical row ordering.
+/// Runs the mix study over `benches` on an `n × n` sub-grid of the
+/// paper's 4×4 (tests use 2×2 to stay fast), fanning the benchmark × IU
+/// × FPU grid over `jobs` worker threads with serial-identical row
+/// ordering.
 ///
 /// # Errors
 /// Propagates the first (lowest grid-index) failure.
 pub fn run_grid_jobs(benches: &[Benchmark], n: usize, jobs: usize) -> Result<MixResults, RunError> {
-    let points: Vec<(&Benchmark, usize, usize)> = benches
+    let points: Vec<Point<'_>> = benches
         .iter()
-        .flat_map(|b| (1..=n).flat_map(move |ius| (1..=n).map(move |fpus| (b, ius, fpus))))
-        .collect();
-    let rows =
-        crate::sweep::try_par_map(&points, jobs, |&(b, ius, fpus)| -> Result<_, RunError> {
-            let config = MachineConfig::with_mix(ius, fpus);
-            let out = run_benchmark(b, MachineMode::Coupled, config)?;
-            Ok(MixRow {
-                bench: b.name.to_string(),
-                ius,
-                fpus,
-                cycles: out.stats.cycles,
+        .flat_map(|b| {
+            (1..=n).flat_map(move |ius| {
+                (1..=n).map(move |fpus| {
+                    Point::new(b, MachineMode::Coupled, MachineConfig::with_mix(ius, fpus))
+                })
             })
-        })?;
+        })
+        .collect();
+    let rows = run_points(&points, jobs, |p, _, run| MixRow {
+        bench: p.bench.name.to_string(),
+        ius: p.config.count_class(UnitClass::Integer),
+        fpus: p.config.count_class(UnitClass::Float),
+        cycles: run.stats.cycles,
+    })?;
     Ok(MixResults { rows })
-}
-
-/// Runs the full suite on the full grid.
-///
-/// # Errors
-/// Propagates pipeline failures.
-pub fn run() -> Result<MixResults, RunError> {
-    run_with(&crate::benchmarks::all())
 }
 
 /// Runs the full suite on the full grid over `jobs` worker threads.
@@ -134,7 +114,7 @@ mod tests {
     fn more_units_do_not_hurt_matrix() {
         // 2×2 grid keeps the test quick; the full surface runs in the
         // bench harness.
-        let r = run_grid(&[benchmarks::matrix()], 2).unwrap();
+        let r = run_grid_jobs(&[benchmarks::matrix()], 2, 1).unwrap();
         let c11 = r.cycles("Matrix", 1, 1).unwrap();
         let c22 = r.cycles("Matrix", 2, 2).unwrap();
         assert!(c22 < c11, "2 IU × 2 FPU ({c22}) should beat 1 × 1 ({c11})");

@@ -15,7 +15,17 @@
 //! Every module exposes a `run*` entry returning structured results with
 //! a `render()` producing the paper-style text table, so `pcsim tables`,
 //! the `paper_tables` example and the integration tests all share one
-//! implementation.
+//! implementation. Each returns the same rows for any `jobs` count.
+//!
+//! Every experiment but [`scaling`] (whose sources are generated per
+//! size) runs its grid of [`Point`]s with
+//! [`run_points`](crate::sweep::run_points), which compiles each
+//! distinct program image once.
+
+use crate::benchmarks::Benchmark;
+use crate::mode::MachineMode;
+use crate::sweep::Point;
+use pc_isa::MachineConfig;
 
 pub mod ablation;
 pub mod baseline;
@@ -25,3 +35,17 @@ pub mod latency;
 pub mod mix;
 pub mod registers;
 pub mod scaling;
+
+/// Every mode each of `benches` has a source for, on the paper's
+/// baseline machine: the Table-2 grid, benchmark-major.
+fn every_mode(benches: &[Benchmark]) -> Vec<Point<'_>> {
+    benches
+        .iter()
+        .flat_map(|b| {
+            MachineMode::all()
+                .into_iter()
+                .filter(|&mode| b.source(mode).is_some())
+                .map(move |mode| Point::new(b, mode, MachineConfig::baseline()))
+        })
+        .collect()
+}

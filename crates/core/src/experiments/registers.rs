@@ -8,8 +8,8 @@
 use crate::benchmarks::Benchmark;
 use crate::mode::MachineMode;
 use crate::report::{f2, Table};
-use crate::runner::{run_benchmark, RunError};
-use pc_isa::MachineConfig;
+use crate::runner::RunError;
+use crate::sweep::run_points;
 
 /// One benchmark × mode register measurement.
 #[derive(Debug, Clone, PartialEq)]
@@ -89,35 +89,18 @@ impl RegisterResults {
     }
 }
 
-/// Runs the study over `benches`.
-///
-/// # Errors
-/// Propagates pipeline failures.
-pub fn run_with(benches: &[Benchmark]) -> Result<RegisterResults, RunError> {
-    run_with_jobs(benches, 1)
-}
-
-/// [`run_with`] fanning the benchmark × mode grid over `jobs` worker
-/// threads with serial-identical row ordering.
+/// Runs the study over `benches`, fanning the benchmark × mode grid
+/// over `jobs` worker threads with serial-identical row ordering.
 ///
 /// # Errors
 /// Propagates the first (lowest grid-index) failure.
 pub fn run_with_jobs(benches: &[Benchmark], jobs: usize) -> Result<RegisterResults, RunError> {
-    let points: Vec<(&Benchmark, MachineMode)> = benches
-        .iter()
-        .flat_map(|b| {
-            MachineMode::all()
-                .into_iter()
-                .filter(|&mode| b.source(mode).is_some())
-                .map(move |mode| (b, mode))
-        })
-        .collect();
-    let rows = crate::sweep::try_par_map(&points, jobs, |&(b, mode)| -> Result<_, RunError> {
-        let out = run_benchmark(b, mode, MachineConfig::baseline())?;
+    let points = super::every_mode(benches);
+    let rows = run_points(&points, jobs, |p, image, _| {
         // Mean per-cluster peak over clusters that hold any register,
         // over all segments.
         let (mut total, mut used) = (0u64, 0u64);
-        for seg in &out.segments {
+        for seg in &image.segments {
             for &c in &seg.regs_per_cluster {
                 if c > 0 {
                     total += c as u64;
@@ -125,26 +108,18 @@ pub fn run_with_jobs(benches: &[Benchmark], jobs: usize) -> Result<RegisterResul
                 }
             }
         }
-        Ok(RegisterRow {
-            bench: b.name.to_string(),
-            mode,
-            peak: out.peak_registers,
+        RegisterRow {
+            bench: p.bench.name.to_string(),
+            mode: p.mode,
+            peak: image.peak_registers,
             mean_used: if used == 0 {
                 0.0
             } else {
                 total as f64 / used as f64
             },
-        })
+        }
     })?;
     Ok(RegisterResults { rows })
-}
-
-/// Runs the full suite.
-///
-/// # Errors
-/// Propagates pipeline failures.
-pub fn run() -> Result<RegisterResults, RunError> {
-    run_with(&crate::benchmarks::all())
 }
 
 /// Runs the full suite on `jobs` worker threads.
@@ -162,7 +137,7 @@ mod tests {
 
     #[test]
     fn realistic_modes_stay_small_and_ideal_explodes() {
-        let r = run_with(&[benchmarks::matrix()]).unwrap();
+        let r = run_with_jobs(&[benchmarks::matrix()], 1).unwrap();
         // Paper: realistic < 60 per cluster; allow headroom.
         assert!(
             r.realistic_peak() < 100,

@@ -23,8 +23,6 @@ pub const CYCLE_LIMIT: u64 = 20_000_000;
 pub struct RunOutcome {
     /// Simulator statistics (cycle count, utilizations, probes, …).
     pub stats: RunStats,
-    /// Compiler diagnostics per segment.
-    pub segments: Vec<SegmentInfo>,
     /// Peak per-cluster register count over all segments.
     pub peak_registers: u32,
     /// Source-provenance side table from the compiler (empty for
@@ -100,21 +98,7 @@ pub fn run_benchmark(
     mode: MachineMode,
     config: MachineConfig,
 ) -> Result<RunOutcome, RunError> {
-    run_benchmark_with_options(bench, mode, config, pc_compiler::CompileOptions::default())
-}
-
-/// [`run_benchmark`] with explicit compiler options (used by the
-/// optimizer ablation and differential tests).
-///
-/// # Errors
-/// See [`RunError`].
-pub fn run_benchmark_with_options(
-    bench: &Benchmark,
-    mode: MachineMode,
-    config: MachineConfig,
-    options: pc_compiler::CompileOptions,
-) -> Result<RunOutcome, RunError> {
-    run_benchmark_full(bench, mode, config, options, &Observe::default())
+    run_benchmark_observed(bench, mode, config, &Observe::default())
 }
 
 /// Observability requests for [`run_benchmark_observed`]: what to record
@@ -164,27 +148,10 @@ pub fn run_benchmark_observed(
     config: MachineConfig,
     observe: &Observe,
 ) -> Result<RunOutcome, RunError> {
-    run_benchmark_full(
-        bench,
-        mode,
-        config,
-        pc_compiler::CompileOptions::default(),
-        observe,
-    )
-}
-
-fn run_benchmark_full(
-    bench: &Benchmark,
-    mode: MachineMode,
-    config: MachineConfig,
-    options: pc_compiler::CompileOptions,
-    observe: &Observe,
-) -> Result<RunOutcome, RunError> {
-    let image = compile_image(bench, mode, &config, options)?;
+    let image = compile_image(bench, mode, &config, pc_compiler::CompileOptions::default())?;
     let run = run_image(bench, &image, config, observe)?;
     Ok(RunOutcome {
         stats: run.stats,
-        segments: image.segments,
         peak_registers: image.peak_registers,
         debug: image.debug,
         engine: run.engine,

@@ -6,8 +6,13 @@
 //! The paper's tables are points sampled from the full grid
 //! `benchmarks × modes × interconnect schemes × memory models × FU
 //! mixes`; [`SweepSpec`] describes any sub-grid of it, and
-//! [`run_sweep`] executes one — this is the substrate the experiment
-//! harness and the `pcsim sweep` subcommand share.
+//! [`run_sweep`] executes one for the `pcsim sweep` subcommand.
+//! [`run_points`] runs any list of [`Point`]s instead — the experiment
+//! harness's grids, whose ablation settings, queue benchmarks and seed
+//! averages are not [`SweepSpec`] axes — without the cache, JSONL or
+//! manifest. Both compile each program image once per run, through one
+//! image memo keyed on (benchmark, mode, [`CompileKey`],
+//! [`CompileOptions`]).
 //!
 //! Determinism contract: the rows of a sweep (and the JSONL lines,
 //! after zeroing the per-row `wall_ns` and `cached` fields) are a pure
@@ -18,11 +23,11 @@
 
 use super::cache::{cache_key, CachedResult, ResultCache};
 use super::codec::{escape_json, parse_json, stats_from_value, stats_to_json, Json};
-use super::pool::run_pool;
+use super::pool::{run_pool, try_par_map};
 use super::telemetry::SweepTelemetry;
 use crate::benchmarks::{self, Benchmark};
 use crate::mode::MachineMode;
-use crate::runner::{compile_image, run_image, Image, Observe, RunError};
+use crate::runner::{compile_image, run_image, Image, ImageRun, Observe, RunError};
 use pc_compiler::{CompileError, CompileKey, CompileOptions};
 use pc_isa::{InterconnectScheme, MachineConfig, MemoryModel};
 use pc_sim::RunStats;
@@ -658,13 +663,41 @@ fn scan_jsonl_done(path: &Path) -> BTreeSet<String> {
 }
 
 // ---------------------------------------------------------------------
-// Program images
+// Program images and experiment grids
 // ---------------------------------------------------------------------
 
-/// The program images of one sweep: one slot per (benchmark, mode,
-/// [`CompileKey`]) among the cells still to run. A cell's compiled
-/// program depends on nothing else (see [`CompileKey`]), so every cell
-/// of a key runs the same image.
+/// One point of an experiment grid: a benchmark under one mode, machine
+/// configuration and set of compiler options.
+#[derive(Debug, Clone)]
+pub struct Point<'a> {
+    /// The benchmark.
+    pub bench: &'a Benchmark,
+    /// Machine mode.
+    pub mode: MachineMode,
+    /// The machine simulated.
+    pub config: MachineConfig,
+    /// Compiler options.
+    pub options: CompileOptions,
+}
+
+impl<'a> Point<'a> {
+    /// A point compiled with the default [`CompileOptions`].
+    pub fn new(bench: &'a Benchmark, mode: MachineMode, config: MachineConfig) -> Point<'a> {
+        Point {
+            bench,
+            mode,
+            config,
+            options: CompileOptions::default(),
+        }
+    }
+}
+
+/// The program images of one grid: one slot per (benchmark, mode,
+/// [`CompileKey`], [`CompileOptions`]) among the points still to run. A
+/// point's compiled program depends on nothing else (see
+/// [`CompileKey`]), so every point of a key runs the same image.
+/// Benchmarks are told apart by address: points share an image only
+/// when they borrow the same [`Benchmark`].
 struct ImageMemo {
     slots: Vec<ImageSlot>,
     compiles: AtomicUsize,
@@ -672,29 +705,31 @@ struct ImageMemo {
 
 #[derive(Default)]
 struct ImageSlot {
-    /// `None` until a cell of the key first needs the image, and again
-    /// once the key's last cell has finished. The lock is held across
-    /// the compile, so a second cell of the key waits for the image
+    /// `None` until a point of the key first needs the image, and again
+    /// once the key's last point has finished. The lock is held across
+    /// the compile, so a second point of the key waits for the image
     /// instead of compiling it again; a compile error is kept and
-    /// reported for every cell of the key. A compile that panics leaves
+    /// reported for every point of the key. A compile that panics leaves
     /// `None` behind, so a poisoned lock still guards a valid slot.
     image: Mutex<Option<Result<Arc<Image>, CompileError>>>,
-    /// Cells of the key not yet finished.
+    /// Points of the key not yet finished.
     pending: AtomicUsize,
 }
 
 impl ImageMemo {
-    /// The memo for `cells`, with each cell's slot index.
-    fn new(cells: &[&SweepCell]) -> (ImageMemo, Vec<usize>) {
-        let mut index: HashMap<(&str, MachineMode, CompileKey), usize> = HashMap::new();
+    /// The memo for `points`, with each point's slot index.
+    fn new(points: &[Point<'_>]) -> (ImageMemo, Vec<usize>) {
+        type Key = (*const Benchmark, MachineMode, CompileKey, CompileOptions);
+        let mut index: HashMap<Key, usize> = HashMap::new();
         let mut slots: Vec<ImageSlot> = Vec::new();
-        let slot_of = cells
+        let slot_of = points
             .iter()
-            .map(|cell| {
+            .map(|p| {
                 let key = (
-                    cell.bench.as_str(),
-                    cell.mode,
-                    CompileKey::of(&cell.config()),
+                    p.bench as *const Benchmark,
+                    p.mode,
+                    CompileKey::of(&p.config),
+                    p.options,
                 );
                 let slot = *index.entry(key).or_insert_with(|| {
                     slots.push(ImageSlot::default());
@@ -711,34 +746,40 @@ impl ImageMemo {
         (memo, slot_of)
     }
 
-    /// The image in `slot`, compiling it for `cell` on first use.
-    fn image(
-        &self,
-        slot: usize,
-        bench: &Benchmark,
-        cell: &SweepCell,
-        config: &MachineConfig,
-    ) -> Result<Arc<Image>, RunError> {
-        let mut image = self.slots[slot]
-            .image
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        image
-            .get_or_insert_with(|| {
+    /// Simulates and validates `point` on the image in `slot`,
+    /// compiling the image on the slot's first use. A point whose mode
+    /// has no source fails with [`RunError::Unsupported`] and leaves the
+    /// slot empty.
+    fn run(&self, slot: usize, point: &Point<'_>) -> Result<(Arc<Image>, ImageRun), RunError> {
+        let image = {
+            let mut kept = self.slots[slot]
+                .image
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            if kept.is_none() {
+                let compiled =
+                    match compile_image(point.bench, point.mode, &point.config, point.options) {
+                        Ok(image) => Ok(Arc::new(image)),
+                        Err(RunError::Compile(e)) => Err(e),
+                        Err(e) => return Err(e),
+                    };
                 self.compiles.fetch_add(1, Ordering::Relaxed);
-                match compile_image(bench, cell.mode, config, CompileOptions::default()) {
-                    Ok(image) => Ok(Arc::new(image)),
-                    Err(RunError::Compile(e)) => Err(e),
-                    Err(e) => panic!("cell {cell}: {e} (cells() skips modes without a source)"),
-                }
-            })
-            .clone()
-            .map_err(RunError::Compile)
+                *kept = Some(compiled);
+            }
+            kept.clone().expect("filled above")?
+        };
+        let run = run_image(
+            point.bench,
+            &image,
+            point.config.clone(),
+            &Observe::default(),
+        )?;
+        Ok((image, run))
     }
 
-    /// Marks one cell of `slot` finished, dropping the image after the
-    /// key's last cell. Each cell's release of `pending` pairs with the
-    /// last cell's acquire, so every other cell's use of the slot
+    /// Marks one point of `slot` finished, dropping the image after the
+    /// key's last point. Each point's release of `pending` pairs with
+    /// the last point's acquire, so every other point's use of the slot
     /// happens before the drop.
     fn finish(&self, slot: usize) {
         let slot = &self.slots[slot];
@@ -746,6 +787,30 @@ impl ImageMemo {
             *slot.image.lock().unwrap_or_else(PoisonError::into_inner) = None;
         }
     }
+}
+
+/// Simulates and validates every point on up to `jobs` worker threads,
+/// mapping each to a row with `row` on the worker. Each image is
+/// compiled by the first point of its (benchmark, mode, [`CompileKey`],
+/// [`CompileOptions`]) and dropped after the key's last point. Rows come
+/// back in point order, whatever `jobs` is.
+///
+/// # Errors
+/// The lowest-indexed failing point's error; the other points still run.
+pub fn run_points<'a, R, F>(points: &[Point<'a>], jobs: usize, row: F) -> Result<Vec<R>, RunError>
+where
+    R: Send,
+    F: Fn(&Point<'a>, &Image, ImageRun) -> R + Sync,
+{
+    let (images, slot_of) = ImageMemo::new(points);
+    let work: Vec<(&Point<'a>, usize)> = points.iter().zip(slot_of).collect();
+    try_par_map(&work, jobs, |&(point, slot)| {
+        let out = images
+            .run(slot, point)
+            .map(|(image, run)| row(point, &image, run));
+        images.finish(slot);
+        out
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -821,19 +886,24 @@ pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> Result<SweepSummary, 
     }
     let pending: Vec<&SweepCell> = cells.iter().filter(|c| !done.contains(&c.id())).collect();
     let prior_done = cells.len() - pending.len();
-    let (images, slot_of) = ImageMemo::new(&pending);
-    let work: Vec<(&SweepCell, usize)> = pending.iter().copied().zip(slot_of).collect();
+    let suite = benchmarks::all();
+    let points: Vec<Point<'_>> = pending
+        .iter()
+        .map(|cell| {
+            let bench = suite
+                .iter()
+                .find(|b| b.name.to_lowercase() == cell.bench)
+                .expect("cells() validated benchmark names");
+            Point::new(bench, cell.mode, cell.config())
+        })
+        .collect();
+    let (images, slot_of) = ImageMemo::new(&points);
+    let work: Vec<((&SweepCell, &Point<'_>), usize)> =
+        pending.iter().copied().zip(&points).zip(slot_of).collect();
 
     let cache = match &opts.cache_dir {
         Some(dir) => Some(ResultCache::open(dir)?),
         None => None,
-    };
-    let suite = benchmarks::all();
-    let bench_of = |name: &str| -> &Benchmark {
-        suite
-            .iter()
-            .find(|b| b.name.to_lowercase() == name)
-            .expect("cells() validated benchmark names")
     };
 
     let mut sink: Option<std::io::BufWriter<std::fs::File>> = match &opts.out {
@@ -885,13 +955,17 @@ pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> Result<SweepSummary, 
             ))
         });
     let tel_ref = tel.as_deref();
-    let run_one = |cell: &SweepCell, slot: usize| -> Result<SweepRow, (String, RunError)> {
-        let bench = bench_of(&cell.bench);
-        let config = cell.config();
+    let run_one = |cell: &SweepCell,
+                   point: &Point<'_>,
+                   slot: usize|
+     -> Result<SweepRow, (String, RunError)> {
         let t0 = Instant::now();
         let key = cache.as_ref().map(|_| {
-            let source = bench.source(cell.mode).expect("cells() filtered modes");
-            cache_key(&cell.bench, cell.mode, source, &config)
+            let source = point
+                .bench
+                .source(cell.mode)
+                .expect("cells() filtered modes");
+            cache_key(&cell.bench, cell.mode, source, &point.config)
         });
         if let (Some(cache), Some(key)) = (&cache, &key) {
             let hit = cache.lookup(key);
@@ -917,11 +991,7 @@ pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> Result<SweepSummary, 
         } else if let Some(t) = tel_ref {
             t.cache_misses.inc();
         }
-        let image = images
-            .image(slot, bench, cell, &config)
-            .map_err(|e| (cell.id(), e))?;
-        let out =
-            run_image(bench, &image, config, &Observe::default()).map_err(|e| (cell.id(), e))?;
+        let (image, out) = images.run(slot, point).map_err(|e| (cell.id(), e))?;
         if let (Some(cache), Some(key)) = (&cache, &key) {
             // A failed store must not fail the sweep — the result is in
             // hand; the next run simply recomputes.
@@ -949,8 +1019,8 @@ pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> Result<SweepSummary, 
             wall_ns: t0.elapsed().as_nanos() as u64,
         })
     };
-    let run_cell = |&(cell, slot): &(&SweepCell, usize)| -> Result<SweepRow, (String, RunError)> {
-        let row = run_one(cell, slot);
+    let run_cell = |&((cell, point), slot): &((&SweepCell, &Point<'_>), usize)| {
+        let row = run_one(cell, point, slot);
         images.finish(slot);
         row
     };
@@ -1224,33 +1294,44 @@ mod tests {
         assert!(Manifest::from_json("{}").is_err());
     }
 
-    /// One cell per memory model of a single (benchmark, mode, key).
-    fn one_key_cells() -> Vec<SweepCell> {
-        SweepSpec {
-            benches: vec!["matrix".into()],
-            modes: vec![MachineMode::Seq],
-            memories: MemKind::all().to_vec(),
-            ..SweepSpec::table2()
+    /// A benchmark whose every source fails to compile.
+    fn broken() -> Benchmark {
+        Benchmark {
+            name: "Broken",
+            seq_src: "(no-main)".into(),
+            threaded_src: "(no-main)".into(),
+            ideal_src: None,
+            setup: |_| Ok(()),
+            check: |_| Ok(()),
         }
-        .cells()
-        .unwrap()
+    }
+
+    /// One point per memory model of a single (benchmark, mode, key).
+    fn one_key_points(bench: &Benchmark) -> Vec<Point<'_>> {
+        MemKind::all()
+            .into_iter()
+            .map(|m| {
+                let config = MachineConfig::baseline().with_memory(m.model());
+                Point::new(bench, MachineMode::Seq, config)
+            })
+            .collect()
     }
 
     #[test]
     fn image_memo_compiles_a_key_once_and_drops_it_after_its_last_cell() {
-        let cells = one_key_cells();
-        let (memo, slot_of) = ImageMemo::new(&cells.iter().collect::<Vec<_>>());
-        assert_eq!(slot_of, vec![0, 0, 0]);
         let bench = benchmarks::matrix();
-        let start = std::sync::Barrier::new(cells.len());
-        let (memo_ref, bench_ref, start) = (&memo, &bench, &start);
+        let points = one_key_points(&bench);
+        let (memo, slot_of) = ImageMemo::new(&points);
+        assert_eq!(slot_of, vec![0, 0, 0]);
+        let start = std::sync::Barrier::new(points.len());
+        let (memo_ref, start) = (&memo, &start);
         let images: Vec<Arc<Image>> = std::thread::scope(|s| {
-            let workers: Vec<_> = cells
+            let workers: Vec<_> = points
                 .iter()
-                .map(|c| {
+                .map(|p| {
                     s.spawn(move || {
                         start.wait();
-                        memo_ref.image(0, bench_ref, c, &c.config()).unwrap()
+                        memo_ref.run(0, p).unwrap().0
                     })
                 })
                 .collect();
@@ -1267,25 +1348,105 @@ mod tests {
 
     #[test]
     fn image_memo_reports_one_compile_error_for_every_cell_of_the_key() {
-        let broken = Benchmark {
-            name: "Broken",
-            seq_src: "(no-main)".into(),
-            threaded_src: "(no-main)".into(),
-            ideal_src: None,
-            setup: |_| Ok(()),
-            check: |_| Ok(()),
-        };
-        let cells = one_key_cells();
-        let (memo, _) = ImageMemo::new(&cells.iter().collect::<Vec<_>>());
-        let errors: Vec<String> = cells
+        let bench = broken();
+        let points = one_key_points(&bench);
+        let (memo, _) = ImageMemo::new(&points);
+        let errors: Vec<String> = points
             .iter()
-            .map(|c| match memo.image(0, &broken, c, &c.config()) {
+            .map(|p| match memo.run(0, p) {
                 Err(e @ RunError::Compile(_)) => e.to_string(),
                 other => panic!("expected a compile error, got {other:?}"),
             })
             .collect();
         assert_eq!(memo.compiles.load(Ordering::Relaxed), 1);
         assert!(errors.iter().all(|e| *e == errors[0]), "{errors:?}");
+    }
+
+    #[test]
+    fn image_memo_keys_on_compile_options_but_not_on_runtime_settings() {
+        let bench = benchmarks::matrix();
+        let point = |config, optimize, licm| Point {
+            options: CompileOptions { optimize, licm },
+            ..Point::new(&bench, MachineMode::Coupled, config)
+        };
+        let base = MachineConfig::baseline;
+        let priority = base().with_arbitration(pc_isa::ArbitrationPolicy::FixedPriority);
+        let points = [
+            point(base(), true, false),
+            point(priority, true, false),
+            point(base().with_seed(7), true, false),
+            point(base(), false, false),
+            point(base(), true, true),
+        ];
+        let (memo, slot_of) = ImageMemo::new(&points);
+        assert_eq!(slot_of, vec![0, 0, 0, 1, 2]);
+        assert_eq!(memo.slots[0].pending.load(Ordering::Relaxed), 3);
+    }
+
+    #[test]
+    fn run_points_rows_match_run_benchmark_at_any_jobs() {
+        let (matrix, fft) = (benchmarks::matrix(), benchmarks::fft());
+        let base = MachineConfig::baseline;
+        let mem2 = || base().with_memory(MemoryModel::mem2()).with_seed(3);
+        let naive = CompileOptions {
+            optimize: false,
+            ..CompileOptions::default()
+        };
+        let points = vec![
+            Point::new(&matrix, MachineMode::Seq, base()),
+            Point::new(&fft, MachineMode::Sts, base()),
+            // Shares point 0's image.
+            Point::new(&matrix, MachineMode::Seq, mem2()),
+            Point::new(&matrix, MachineMode::Coupled, MachineConfig::with_mix(2, 3)),
+            Point {
+                options: naive,
+                ..Point::new(&matrix, MachineMode::Seq, base())
+            },
+            Point::new(
+                &matrix,
+                MachineMode::Coupled,
+                base().with_interconnect(InterconnectScheme::TriPort),
+            ),
+        ];
+        let row = |_: &Point<'_>, image: &Image, run: ImageRun| (run.stats, image.peak_registers);
+        let serial = run_points(&points, 1, row).unwrap();
+        assert_eq!(serial, run_points(&points, 3, row).unwrap());
+        for (p, (stats, peak)) in points.iter().zip(&serial) {
+            if p.options == naive {
+                continue;
+            }
+            let out = crate::run_benchmark(p.bench, p.mode, p.config.clone()).unwrap();
+            assert_eq!(
+                (stats, *peak),
+                (&out.stats, out.peak_registers),
+                "{}",
+                p.mode
+            );
+        }
+        // The unoptimized point ran, validated, a different program.
+        assert_ne!(serial[4].0.ops_issued, serial[0].0.ops_issued);
+    }
+
+    #[test]
+    fn run_points_reports_the_lowest_indexed_error() {
+        let (matrix, bad) = (benchmarks::matrix(), broken());
+        let queue = benchmarks::model_queue_coupled();
+        let base = MachineConfig::baseline;
+        let points = [
+            Point::new(&matrix, MachineMode::Seq, base()),
+            Point::new(&matrix, MachineMode::Seq, base().with_seed(1)),
+            Point::new(&queue, MachineMode::Ideal, base()),
+            Point::new(&matrix, MachineMode::Coupled, base()),
+            Point::new(&bad, MachineMode::Seq, base()),
+        ];
+        for jobs in [1, 3] {
+            match run_points(&points, jobs, |_, _, run| run.stats.cycles) {
+                Err(RunError::Unsupported { bench, mode }) => {
+                    assert_eq!((bench, mode), (queue.name, MachineMode::Ideal));
+                }
+                other => panic!("jobs={jobs}: expected point 2's error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

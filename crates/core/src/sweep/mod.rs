@@ -19,7 +19,9 @@
 //!   an integer, so no float-formatting hazards exist).
 //! - [`engine`] — [`SweepSpec`]/[`run_sweep`]: grid enumeration, JSONL
 //!   streaming in deterministic cell order, and a manifest making
-//!   sharded runs (`--shard k/n`) resumable after a kill.
+//!   sharded runs (`--shard k/n`) resumable after a kill; and
+//!   [`run_points`], the runner behind every `pcsim tables` experiment
+//!   except scaling. Both compile each program image once per run.
 //! - [`telemetry`] — [`SweepTelemetry`]: the lock-free host-side
 //!   metrics registry behind `pcsim sweep --progress`, the periodic
 //!   JSONL snapshot emitter, and the `pcsim metrics` report.
@@ -32,8 +34,8 @@ pub mod telemetry;
 
 pub use cache::{cache_key, config_fingerprint, CachedResult, ResultCache, CACHE_SCHEMA_VERSION};
 pub use engine::{
-    run_sweep, Manifest, MemKind, Mix, SweepCell, SweepError, SweepOptions, SweepRow, SweepSpec,
-    SweepSummary, SWEEP_SCHEMA_VERSION,
+    run_points, run_sweep, Manifest, MemKind, Mix, Point, SweepCell, SweepError, SweepOptions,
+    SweepRow, SweepSpec, SweepSummary, SWEEP_SCHEMA_VERSION,
 };
 pub use pool::{default_jobs, par_map, try_par_map, PoolMetrics};
 pub use telemetry::SweepTelemetry;

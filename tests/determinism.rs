@@ -4,7 +4,7 @@
 //! sweep must reproduce the serial sweep's results exactly (same rows,
 //! same order).
 
-use coupling::experiments::{baseline, comm, latency, mix, scaling};
+use coupling::experiments::{ablation, baseline, comm, latency, mix, registers, scaling};
 use coupling::{benchmarks, run_benchmark, MachineMode};
 use pc_isa::{InterconnectScheme, MachineConfig, MemoryModel};
 
@@ -95,6 +95,24 @@ fn mix_sweep_parallel_matches_serial() {
     let benches = [benchmarks::matrix()];
     let serial = mix::run_grid_jobs(&benches, 2, 1).unwrap();
     let parallel = mix::run_grid_jobs(&benches, 2, 4).unwrap();
+    assert_eq!(serial, parallel);
+}
+
+/// The ten ablation studies run as one grid, regrouped per study.
+#[test]
+fn ablation_grid_parallel_matches_serial() {
+    let benches = [benchmarks::matrix()];
+    let serial = ablation::run(&ablation::studies(), &benches, 1).unwrap();
+    let parallel = ablation::run(&ablation::studies(), &benches, 3).unwrap();
+    assert_eq!(serial, parallel);
+}
+
+/// The register study reads its rows from shared compiled images.
+#[test]
+fn registers_sweep_parallel_matches_serial() {
+    let benches = [benchmarks::matrix()];
+    let serial = registers::run_with_jobs(&benches, 1).unwrap();
+    let parallel = registers::run_with_jobs(&benches, 3).unwrap();
     assert_eq!(serial, parallel);
 }
 
