@@ -14,29 +14,17 @@
 //! * copy propagation;
 //! * dead-code elimination (pure ops and plain loads).
 //!
-//! All passes run to a fixpoint via [`optimize`].
+//! All passes run to a fixpoint via [`optimize_with`]. Each pass is
+//! linear in the block length up to hashing (DESIGN.md §6e).
 
 use crate::ir::{BinOp, Func, InstKind, IsaOp, Term, UnOp, VReg, Val};
-use pc_isa::{op as isa_op, LoadFlavor, Value};
+use pc_isa::{op as isa_op, LoadFlavor, StoreFlavor, Value};
 use std::collections::HashMap;
 
-/// Runs all passes to a (bounded) fixpoint.
+/// Runs all passes to a (bounded) fixpoint: [`optimize_with`] without
+/// loop-invariant code motion.
 pub fn optimize(f: &mut Func) {
-    for _ in 0..8 {
-        let mut changed = false;
-        changed |= fold_and_propagate(f);
-        changed |= algebraic(f);
-        changed |= cse(f);
-        // Coalesce before copy propagation: propagating a copied value
-        // into its same-block uses would destroy the single-use property
-        // coalescing needs (`ld tmp; mov var<-tmp` must become `ld var`).
-        changed |= coalesce_copies(f);
-        changed |= copy_propagate(f);
-        changed |= dce(f);
-        if !changed {
-            break;
-        }
-    }
+    optimize_with(f, false);
 }
 
 /// Copy coalescing: rewrites
@@ -316,13 +304,12 @@ pub fn algebraic(f: &mut Func) -> bool {
     changed
 }
 
-/// A value-numbering table entry: canonical key plus the defining register
-/// and its version at record time.
-type CseEntry = ((String, Vec<KeyVal>), (VReg, u32, usize));
-
-/// Canonical key for value numbering. Registers are paired with a version
-/// so redefinition invalidates stale entries.
-#[derive(Debug, Clone, PartialEq)]
+/// A value-numbering operand. Registers are paired with their version at
+/// lookup time, so a redefinition makes older keys unreachable.
+///
+/// The derived order only canonicalizes commutative operands: any total
+/// order maps `a op b` and `b op a` to the same key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 enum KeyVal {
     R(VReg, u32),
     CI(i64),
@@ -337,6 +324,92 @@ fn key_val(v: Val, versions: &HashMap<VReg, u32>) -> KeyVal {
     }
 }
 
+/// A value-numbering key: the operation plus its versioned operands.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum CseKey {
+    Bin(BinOp, KeyVal, KeyVal),
+    Un(UnOp, KeyVal),
+    /// A plain load of `base + off`.
+    Load(KeyVal, KeyVal),
+}
+
+impl CseKey {
+    /// The instruction's key, if it is a candidate for elimination.
+    fn of(kind: &InstKind, versions: &HashMap<VReg, u32>) -> Option<CseKey> {
+        match kind {
+            InstKind::Bin { op, a, b } => {
+                let (ka, kb) = (key_val(*a, versions), key_val(*b, versions));
+                Some(if op.commutes() && kb < ka {
+                    CseKey::Bin(*op, kb, ka)
+                } else {
+                    CseKey::Bin(*op, ka, kb)
+                })
+            }
+            InstKind::Un { op, a } if *op != UnOp::Mov => {
+                Some(CseKey::Un(*op, key_val(*a, versions)))
+            }
+            InstKind::Load {
+                flavor: LoadFlavor::Plain,
+                base,
+                off,
+            } => Some(CseKey::Load(
+                key_val(*base, versions),
+                key_val(*off, versions),
+            )),
+            _ => None,
+        }
+    }
+}
+
+/// One block's value table. Every entry is inserted once and removed at
+/// most once, so a block costs O(n) table operations.
+#[derive(Default)]
+struct ValueTable {
+    /// Key -> (dst, dst version at record time, def index).
+    exprs: HashMap<CseKey, (VReg, u32, usize)>,
+    /// Load keys whose address is not a known constant.
+    dynamic_loads: Vec<CseKey>,
+    /// Load keys by constant address.
+    const_loads: HashMap<i64, Vec<CseKey>>,
+}
+
+impl ValueTable {
+    fn insert(&mut self, key: CseKey, entry: (VReg, u32, usize)) {
+        if let CseKey::Load(base, off) = key {
+            match (base, off) {
+                (KeyVal::CI(b), KeyVal::CI(o)) => self
+                    .const_loads
+                    .entry(b.wrapping_add(o))
+                    .or_default()
+                    .push(key),
+                _ => self.dynamic_loads.push(key),
+            }
+        }
+        self.exprs.insert(key, entry);
+    }
+
+    /// Forgets the loads a store may overwrite: for a plain store to the
+    /// constant address `Some(addr)`, the loads of `addr` and every
+    /// dynamic-address load; for `None` (any other store or synchronizing
+    /// reference), every load.
+    fn kill_loads(&mut self, addr: Option<i64>) {
+        let killed = match addr {
+            Some(a) => self.const_loads.remove(&a).unwrap_or_default(),
+            // `take` rather than `drain`: a drained map keeps its capacity,
+            // and iterating that again on every later kill would not be
+            // linear.
+            None => std::mem::take(&mut self.const_loads)
+                .into_values()
+                .flatten()
+                .collect(),
+        };
+        for key in killed.iter().chain(&self.dynamic_loads) {
+            self.exprs.remove(key);
+        }
+        self.dynamic_loads.clear();
+    }
+}
+
 /// Block-local common subexpression elimination, including redundant plain
 /// loads (invalidated conservatively by stores and synchronizing
 /// references).
@@ -344,44 +417,18 @@ pub fn cse(f: &mut Func) -> bool {
     let defs = def_counts(f);
     let mut changed = false;
     for b in &mut f.blocks {
-        // (op, operands) -> (dst, dst version at record time, def index)
-        let mut exprs: Vec<CseEntry> = Vec::new();
+        let mut table = ValueTable::default();
         let mut versions: HashMap<VReg, u32> = HashMap::new();
         for idx in 0..b.insts.len() {
             let i = &b.insts[idx];
-            let key = match &i.kind {
-                InstKind::Bin { op, a, b } => {
-                    let (mut ka, mut kb) = (key_val(*a, &versions), key_val(*b, &versions));
-                    if op.commutes() {
-                        // Canonical operand order for commutative ops.
-                        let (sa, sb) = (format!("{ka:?}"), format!("{kb:?}"));
-                        if sa > sb {
-                            std::mem::swap(&mut ka, &mut kb);
-                        }
-                    }
-                    Some((format!("{op:?}"), vec![ka, kb]))
-                }
-                InstKind::Un { op, a } if *op != UnOp::Mov => {
-                    Some((format!("{op:?}"), vec![key_val(*a, &versions)]))
-                }
-                InstKind::Load {
-                    flavor: LoadFlavor::Plain,
-                    base,
-                    off,
-                } => Some((
-                    "load".to_string(),
-                    vec![key_val(*base, &versions), key_val(*off, &versions)],
-                )),
-                _ => None,
-            };
+            let key = CseKey::of(&i.kind, &versions);
             let mut replaced = false;
             if let (Some(key), Some(dst)) = (&key, i.dst) {
                 // Replace only single-def temporaries: rebinding a mutable
                 // variable must keep its own definition.
                 if defs[dst.0 as usize] == 1 {
-                    if let Some((_, (prev, pv, di))) = exprs.iter().find(|(k, _)| k == key) {
-                        if versions.get(prev).copied().unwrap_or(0) == *pv {
-                            let (prev, di) = (*prev, *di);
+                    if let Some(&(prev, pv, di)) = table.exprs.get(key) {
+                        if versions.get(&prev).copied().unwrap_or(0) == pv {
                             b.insts[idx].kind = InstKind::Un {
                                 op: UnOp::Mov,
                                 a: Val::R(prev),
@@ -398,34 +445,22 @@ pub fn cse(f: &mut Func) -> bool {
             }
             let i = &b.insts[idx];
             // Stores and synchronizing references invalidate load entries.
-            if matches!(i.kind, InstKind::Store { .. }) || i.kind.is_sync() {
-                let (base, off) = match &i.kind {
-                    InstKind::Store { base, off, .. } => (*base, *off),
-                    _ => (Val::R(VReg(u32::MAX)), Val::CI(0)),
-                };
-                let precise = match (base, off) {
-                    (Val::CI(b_), Val::CI(o)) if !i.kind.is_sync() => Some(b_ + o),
-                    _ => None,
-                };
-                exprs.retain(|((op, ks), _)| {
-                    if op != "load" {
-                        return true;
-                    }
-                    match (precise, &ks[0], &ks[1]) {
-                        // A store to a known address only kills loads of
-                        // that address (or dynamic ones).
-                        (Some(addr), KeyVal::CI(b_), KeyVal::CI(o)) => b_ + o != addr,
-                        _ => false,
-                    }
-                });
+            match &i.kind {
+                InstKind::Store {
+                    flavor: StoreFlavor::Plain,
+                    base: Val::CI(b_),
+                    off: Val::CI(o),
+                    ..
+                } => table.kill_loads(Some(b_.wrapping_add(*o))),
+                k if matches!(k, InstKind::Store { .. }) || k.is_sync() => table.kill_loads(None),
+                _ => {}
             }
             if let Some(d) = i.dst {
-                *versions.entry(d).or_insert(0) += 1;
+                let v = versions.entry(d).or_insert(0);
+                *v += 1;
                 if !replaced {
                     if let Some(key) = key {
-                        let v = versions[&d];
-                        exprs.retain(|(k, _)| k != &key);
-                        exprs.push((key, (d, v, idx)));
+                        table.insert(key, (d, *v, idx));
                     }
                 }
             }
@@ -441,6 +476,9 @@ pub fn copy_propagate(f: &mut Func) -> bool {
     let mut changed = false;
     for b in &mut f.blocks {
         let mut copy: HashMap<VReg, Val> = HashMap::new();
+        // Source register -> the registers recorded as its copies, so a
+        // redefinition visits only its own dependents.
+        let mut copies_of: HashMap<VReg, Vec<VReg>> = HashMap::new();
         let subst = |v: &mut Val, copy: &HashMap<VReg, Val>, ch: &mut bool| {
             if let Val::R(r) = v {
                 if let Some(c) = copy.get(r) {
@@ -473,8 +511,11 @@ pub fn copy_propagate(f: &mut Func) -> bool {
                 InstKind::Probe { .. } => {}
             }
             if let Some(d) = i.dst {
-                // Invalidate copies flowing through a redefined source.
-                copy.retain(|_, v| v.reg() != Some(d));
+                // Invalidate copies flowing through a redefined source. A
+                // recorded copy is single-def, so it still holds `d`.
+                for c in copies_of.remove(&d).unwrap_or_default() {
+                    copy.remove(&c);
+                }
                 copy.remove(&d);
                 if let InstKind::Un { op: UnOp::Mov, a } = &i.kind {
                     let src_ok = match a {
@@ -483,6 +524,9 @@ pub fn copy_propagate(f: &mut Func) -> bool {
                     };
                     if defs[d.0 as usize] == 1 && src_ok {
                         copy.insert(d, *a);
+                        if let Val::R(r) = a {
+                            copies_of.entry(*r).or_default().push(d);
+                        }
                     }
                 }
             }
@@ -544,6 +588,9 @@ pub fn optimize_with(f: &mut Func, licm_enabled: bool) {
         changed |= fold_and_propagate(f);
         changed |= algebraic(f);
         changed |= cse(f);
+        // Coalesce before copy propagation: propagating a copied value
+        // into its same-block uses would destroy the single-use property
+        // coalescing needs (`ld tmp; mov var<-tmp` must become `ld var`).
         changed |= coalesce_copies(f);
         changed |= copy_propagate(f);
         if licm_enabled {
@@ -980,6 +1027,174 @@ after:
             muls_in_store_blocks > 0,
             "paper-faithful compiler should not hoist"
         );
+    }
+
+    /// A function with `n` integer registers and one block of `insts`.
+    fn block_func(n: usize, insts: Vec<(InstKind, Option<VReg>)>) -> Func {
+        let mut f = Func::new("t", 0);
+        for _ in 0..n {
+            f.fresh(crate::ast::Ty::Int);
+        }
+        f.blocks[0].insts = insts
+            .into_iter()
+            .map(|(kind, dst)| crate::ir::Inst::new(kind, dst))
+            .collect();
+        f
+    }
+
+    fn load(base: Val, off: Val) -> InstKind {
+        InstKind::Load {
+            flavor: LoadFlavor::Plain,
+            base,
+            off,
+        }
+    }
+
+    fn add(a: Val, b: Val) -> InstKind {
+        InstKind::Bin {
+            op: BinOp::Add,
+            a,
+            b,
+        }
+    }
+
+    fn mov_of(r: VReg) -> InstKind {
+        InstKind::Un {
+            op: UnOp::Mov,
+            a: Val::R(r),
+        }
+    }
+
+    #[test]
+    fn cse_matches_commuted_operands_whatever_their_order() {
+        // VReg(3) < VReg(12) as numbers, but "VReg(12)" < "VReg(3)" as
+        // text: either canonical order must pair `a+b` with `b+a`.
+        let (a, b, t1, t2) = (VReg(3), VReg(12), VReg(13), VReg(14));
+        let mut f = block_func(
+            15,
+            vec![
+                (load(Val::CI(0), Val::CI(0)), Some(a)),
+                (load(Val::CI(0), Val::CI(1)), Some(b)),
+                (add(Val::R(a), Val::R(b)), Some(t1)),
+                (add(Val::R(b), Val::R(a)), Some(t2)),
+            ],
+        );
+        assert!(cse(&mut f));
+        assert_eq!(f.blocks[0].insts[3].kind, mov_of(t1));
+    }
+
+    #[test]
+    fn plain_store_to_a_constant_address_kills_that_address_and_dynamic_loads() {
+        let (n, at5, at6, dynamic) = (VReg(0), VReg(1), VReg(2), VReg(3));
+        let (again5, again6, again_dynamic) = (VReg(4), VReg(5), VReg(6));
+        let mut f = block_func(
+            7,
+            vec![
+                (load(Val::CI(100), Val::CI(0)), Some(n)),
+                (load(Val::CI(0), Val::CI(5)), Some(at5)),
+                (load(Val::CI(0), Val::CI(6)), Some(at6)),
+                (load(Val::CI(0), Val::R(n)), Some(dynamic)),
+                // Address 2 + 3 = 5.
+                (
+                    InstKind::Store {
+                        flavor: StoreFlavor::Plain,
+                        base: Val::CI(2),
+                        off: Val::CI(3),
+                        val: Val::CI(1),
+                    },
+                    None,
+                ),
+                (load(Val::CI(0), Val::CI(5)), Some(again5)),
+                (load(Val::CI(0), Val::CI(6)), Some(again6)),
+                (load(Val::CI(0), Val::R(n)), Some(again_dynamic)),
+            ],
+        );
+        assert!(cse(&mut f));
+        let insts = &f.blocks[0].insts;
+        assert_eq!(insts[5].kind, load(Val::CI(0), Val::CI(5)));
+        assert_eq!(insts[6].kind, mov_of(at6));
+        assert_eq!(insts[7].kind, load(Val::CI(0), Val::R(n)));
+    }
+
+    #[test]
+    fn synchronizing_reference_kills_every_load() {
+        let (n, at5, dynamic, sum, got) = (VReg(0), VReg(1), VReg(2), VReg(3), VReg(4));
+        let (again5, again_dynamic, sum_again) = (VReg(5), VReg(6), VReg(7));
+        let mut f = block_func(
+            8,
+            vec![
+                (load(Val::CI(100), Val::CI(0)), Some(n)),
+                (load(Val::CI(0), Val::CI(5)), Some(at5)),
+                (load(Val::CI(0), Val::R(n)), Some(dynamic)),
+                (add(Val::R(n), Val::CI(1)), Some(sum)),
+                (
+                    InstKind::Load {
+                        flavor: LoadFlavor::WaitFull,
+                        base: Val::CI(0),
+                        off: Val::CI(9),
+                    },
+                    Some(got),
+                ),
+                (load(Val::CI(0), Val::CI(5)), Some(again5)),
+                (load(Val::CI(0), Val::R(n)), Some(again_dynamic)),
+                (add(Val::R(n), Val::CI(1)), Some(sum_again)),
+            ],
+        );
+        assert!(cse(&mut f));
+        let insts = &f.blocks[0].insts;
+        assert_eq!(insts[5].kind, load(Val::CI(0), Val::CI(5)));
+        assert_eq!(insts[6].kind, load(Val::CI(0), Val::R(n)));
+        // Arithmetic entries survive the reference.
+        assert_eq!(insts[7].kind, mov_of(sum));
+    }
+
+    #[test]
+    fn cse_skips_an_entry_whose_destination_was_redefined() {
+        // x = n + 1; x = load; t = n + 1 must not become `t = x`.
+        let (n, x, t) = (VReg(0), VReg(1), VReg(2));
+        let mut f = block_func(
+            3,
+            vec![
+                (load(Val::CI(100), Val::CI(0)), Some(n)),
+                (add(Val::R(n), Val::CI(1)), Some(x)),
+                (load(Val::CI(0), Val::CI(7)), Some(x)),
+                (add(Val::R(n), Val::CI(1)), Some(t)),
+            ],
+        );
+        assert!(!cse(&mut f));
+        assert_eq!(f.blocks[0].insts[3].kind, add(Val::R(n), Val::CI(1)));
+    }
+
+    #[test]
+    fn redefining_a_copy_source_drops_only_its_copies() {
+        // c1 copies s1, whose single definition comes later in the block
+        // (a loop-carried value); c2 copies s2; c3 copies a constant.
+        let (s1, s2, c1, c2, c3) = (VReg(0), VReg(1), VReg(2), VReg(3), VReg(4));
+        let (u1, u2, u3) = (VReg(5), VReg(6), VReg(7));
+        let mut f = block_func(
+            8,
+            vec![
+                (load(Val::CI(0), Val::CI(1)), Some(s2)),
+                (mov_of(s1), Some(c1)),
+                (mov_of(s2), Some(c2)),
+                (
+                    InstKind::Un {
+                        op: UnOp::Mov,
+                        a: Val::CI(5),
+                    },
+                    Some(c3),
+                ),
+                (load(Val::CI(0), Val::CI(0)), Some(s1)),
+                (add(Val::R(c1), Val::CI(1)), Some(u1)),
+                (add(Val::R(c2), Val::CI(1)), Some(u2)),
+                (add(Val::R(c3), Val::CI(1)), Some(u3)),
+            ],
+        );
+        assert!(copy_propagate(&mut f));
+        let insts = &f.blocks[0].insts;
+        assert_eq!(insts[5].kind, add(Val::R(c1), Val::CI(1)));
+        assert_eq!(insts[6].kind, add(Val::R(s2), Val::CI(1)));
+        assert_eq!(insts[7].kind, add(Val::CI(5), Val::CI(1)));
     }
 
     #[test]

@@ -25,7 +25,8 @@ use pc_isa::{
     BranchOp, ClusterId, CodeSegment, FuId, InstWord, LoadFlavor, MachineConfig, OpKind, Operand,
     Operation, RegId, SegmentDebug, StoreFlavor, UnitClass,
 };
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Cluster-restriction mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -404,22 +405,48 @@ impl Scheduler<'_> {
         }
 
         // ---- List scheduling ------------------------------------------------
+        // Ops compete only for the units of their own (cluster, class)
+        // group. Each group keeps its ready ops best first: greatest
+        // height, then lowest index. Ops whose predecessors are all placed
+        // wait, bucketed by their earliest row, until that row comes.
+        let mut group_of: HashMap<(u16, UnitClass), usize> = HashMap::new();
+        let mut group_units: Vec<Vec<FuId>> = Vec::new();
+        let mut group: Vec<usize> = Vec::with_capacity(n);
+        for op in &sops {
+            let g = *group_of.entry((op.cluster.0, op.class)).or_insert_with(|| {
+                group_units.push(
+                    self.config
+                        .units_in_cluster(op.cluster)
+                        .filter(|u| u.class == op.class)
+                        .map(|u| u.id)
+                        .collect(),
+                );
+                group_units.len() - 1
+            });
+            group.push(g);
+        }
+        let mut ready: Vec<BTreeSet<(Reverse<u64>, usize)>> =
+            vec![BTreeSet::new(); group_units.len()];
+        let mut waiting: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
+        let mut remaining_preds = preds;
+        waiting.insert(0, (0..n).filter(|&i| remaining_preds[i] == 0).collect());
         let mut placed: Vec<Option<u32>> = vec![None; n];
         let mut earliest: Vec<u32> = vec![0; n];
-        let mut remaining_preds = preds;
-        let mut unplaced: Vec<usize> = (0..n).collect();
+        let mut unplaced = n;
         let mut row: u32 = 0;
         let mut row_words: Vec<InstWord> = Vec::new();
         // Block-relative (row, unit) → provenance of the op placed there.
         let mut prov_at: Vec<(u32, FuId, Prov)> = Vec::new();
-        while !unplaced.is_empty() {
-            // Candidates ready at this row.
-            let mut ready: Vec<usize> = unplaced
-                .iter()
-                .copied()
-                .filter(|&i| remaining_preds[i] == 0 && earliest[i] <= row)
-                .collect();
-            ready.sort_by_key(|&i| (std::cmp::Reverse(height[i]), i));
+        while unplaced > 0 {
+            while let Some((&at, _)) = waiting.first_key_value() {
+                if at > row {
+                    break;
+                }
+                let (_, ops) = waiting.pop_first().expect("bucket seen above");
+                for i in ops {
+                    ready[group[i]].insert((Reverse(height[i]), i));
+                }
+            }
             if row_words.len() as u32 <= row {
                 row_words.resize(row as usize + 1, InstWord::new());
             }
@@ -428,29 +455,45 @@ impl Scheduler<'_> {
                 .iter()
                 .map(|(fu, _)| *fu)
                 .collect();
-            let mut placed_any = false;
-            for i in ready {
-                // A free unit of the required (cluster, class).
-                let unit = self
-                    .config
-                    .units_in_cluster(sops[i].cluster)
-                    .find(|u| u.class == sops[i].class && !used_units.contains(&u.id));
-                let Some(unit) = unit else { continue };
-                used_units.push(unit.id);
+            // Each group's best ops, one per unit still free in this row,
+            // placed in (height desc, index asc) order across groups.
+            let mut picks: Vec<(Reverse<u64>, usize)> = Vec::new();
+            for (g, set) in ready.iter().enumerate() {
+                if !set.is_empty() {
+                    let free = group_units[g]
+                        .iter()
+                        .filter(|u| !used_units.contains(u))
+                        .count();
+                    picks.extend(set.iter().take(free));
+                }
+            }
+            picks.sort_unstable();
+            for &(h, i) in &picks {
+                ready[group[i]].remove(&(h, i));
+                let unit = *group_units[group[i]]
+                    .iter()
+                    .find(|u| !used_units.contains(u))
+                    .expect("a free unit per pick");
+                used_units.push(unit);
                 let op = self.materialize(&sops[i])?;
-                row_words[row as usize].push(unit.id, op);
+                row_words[row as usize].push(unit, op);
                 if !sops[i].prov.is_empty() {
-                    prov_at.push((row, unit.id, sops[i].prov.clone()));
+                    prov_at.push((row, unit, sops[i].prov.clone()));
                 }
                 placed[i] = Some(row);
-                placed_any = true;
+                unplaced -= 1;
                 for &(t, w) in &succs[i] {
                     remaining_preds[t] -= 1;
                     earliest[t] = earliest[t].max(row + w);
+                    if remaining_preds[t] == 0 {
+                        waiting.entry(earliest[t]).or_default().push(t);
+                    }
                 }
-                unplaced.retain(|&x| x != i);
             }
-            if !placed_any {
+            // Advance only when nothing was placed. Every edge weighs at
+            // least one cycle, so re-entering a row places nothing new,
+            // but the schedule then does not depend on that.
+            if picks.is_empty() {
                 row += 1;
             }
         }
@@ -1380,6 +1423,60 @@ mod tests {
         let mut p = pc_isa::Program::new();
         p.add_segment(s.segment);
         pc_isa::validate_program(&p, &config).unwrap();
+    }
+
+    #[test]
+    fn a_full_row_places_ops_by_height_then_index() {
+        // Single mode: one IU, one FPU and one memory unit. Two integer
+        // adds are ready at row 0; only the one with a dependent (height
+        // 2) gets the IU. The picks of all groups are placed, and so
+        // occupy the row's slots, in (height desc, index asc) order.
+        let config = MachineConfig::baseline();
+        let mut f = Func::new("full", 0);
+        let regs: Vec<VReg> = (0..5).map(|_| f.fresh(Ty::Int)).collect();
+        let bin = |op, a, b| InstKind::Bin { op, a, b };
+        f.blocks[0].insts = [
+            bin(BinOp::Fadd, Val::CF(1.0), Val::CF(2.0)),
+            bin(BinOp::Add, Val::CI(3), Val::CI(4)),
+            bin(BinOp::Add, Val::CI(5), Val::CI(6)),
+            bin(BinOp::Mul, Val::R(regs[1]), Val::CI(7)),
+            InstKind::Load {
+                flavor: LoadFlavor::Plain,
+                base: Val::CI(0),
+                off: Val::CI(0),
+            },
+        ]
+        .into_iter()
+        .zip(&regs)
+        .map(|(kind, &r)| Inst::new(kind, Some(r)))
+        .collect();
+        let s = schedule_func(&f, &config, ScheduleMode::Single, &no_children()).unwrap();
+        let row = |r: usize| -> Vec<(OpKind, Vec<Operand>)> {
+            s.segment.rows[r]
+                .slots()
+                .iter()
+                .map(|(_, op)| (op.kind.clone(), op.srcs.clone()))
+                .collect()
+        };
+        let imm = |a, b| vec![Operand::ImmInt(a), Operand::ImmInt(b)];
+        assert_eq!(
+            row(0),
+            vec![
+                (OpKind::Int(IntOp::Add), imm(3, 4)),
+                (
+                    OpKind::Float(pc_isa::FloatOp::Fadd),
+                    vec![Operand::ImmFloat(1.0), Operand::ImmFloat(2.0)]
+                ),
+                (
+                    OpKind::Mem(pc_isa::MemOp::Load(LoadFlavor::Plain)),
+                    imm(0, 0)
+                ),
+            ]
+        );
+        // Row 1: the other add and the multiply tie on height 1; the
+        // lower index wins the IU.
+        assert_eq!(row(1)[0], (OpKind::Int(IntOp::Add), imm(5, 6)));
+        assert!(matches!(row(2)[0].0, OpKind::Int(IntOp::Mul)));
     }
 
     #[test]

@@ -149,8 +149,53 @@ fn parse_config(args: &[String]) -> Result<MachineConfig, Box<dyn std::error::Er
     Ok(config)
 }
 
+/// One subcommand's flags, each with whether it takes a value.
+type FlagTable = &'static [(&'static str, bool)];
+
+/// The machine settings [`parse_config`] reads.
+const MACHINE_FLAGS: FlagTable = &[
+    ("--interconnect", true),
+    ("--memory", true),
+    ("--seed", true),
+    ("--lockstep", false),
+    ("--priority", false),
+];
+
+/// Checks `cmd`'s arguments against its flag tables before anything runs
+/// and returns the positional ones. An unknown flag, a flag without its
+/// value, or more than `max_positional` positional arguments is rejected.
+fn check_flags<'a>(
+    cmd: &str,
+    args: &'a [String],
+    tables: &[FlagTable],
+    max_positional: usize,
+) -> Vec<&'a str> {
+    let mut positional = Vec::new();
+    let mut args = args.iter().map(String::as_str);
+    while let Some(arg) = args.next() {
+        if !arg.starts_with('-') {
+            if positional.len() == max_positional {
+                reject(format!("unexpected argument {arg:?} for {cmd}"));
+            }
+            positional.push(arg);
+            continue;
+        }
+        let Some(&(_, takes_value)) = tables.iter().flat_map(|t| t.iter()).find(|f| f.0 == arg)
+        else {
+            reject(format!("unknown flag {arg:?} for {cmd}"))
+        };
+        if takes_value && args.next().is_none() {
+            reject(format!("{arg} needs a value"));
+        }
+    }
+    positional
+}
+
 fn cmd_run(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    let Some(name) = args.first() else { usage() };
+    const RUN_FLAGS: FlagTable = &[("--mode", true), ("--engine", true)];
+    let [name] = check_flags("run", args, &[MACHINE_FLAGS, RUN_FLAGS], 1)[..] else {
+        usage()
+    };
     let bench = parse_bench(name);
     let mode = flag_value(args, "--mode")
         .map(|s| parse_mode(&s))
@@ -265,7 +310,9 @@ fn cmd_explain(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 }
 
 fn cmd_compile(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    let Some(path) = args.first() else { usage() };
+    let [path] = check_flags("compile", args, &[&[("--single", false)]], 1)[..] else {
+        usage()
+    };
     let src = std::fs::read_to_string(path)?;
     let mode = if args.iter().any(|a| a == "--single") {
         ScheduleMode::Single

@@ -4,11 +4,10 @@
 
 use std::process::Command;
 
-/// Runs `pcsim tables <args>` and expects exit status 2, no stdout,
-/// and exactly `pcsim: <message>` on stderr.
-fn assert_tables_rejects(args: &[&str], message: &str) {
+/// Runs `pcsim <args>` and expects exit status 2, no stdout, and
+/// exactly `pcsim: <message>` on stderr.
+fn assert_rejects(args: &[&str], message: &str) {
     let out = Command::new(env!("CARGO_BIN_EXE_pcsim"))
-        .arg("tables")
         .args(args)
         .output()
         .unwrap();
@@ -19,6 +18,11 @@ fn assert_tables_rejects(args: &[&str], message: &str) {
         format!("pcsim: {message}\n"),
         "{args:?}"
     );
+}
+
+/// [`assert_rejects`] for `pcsim tables <args>`.
+fn assert_tables_rejects(args: &[&str], message: &str) {
+    assert_rejects(&[&["tables"], args].concat(), message);
 }
 
 #[test]
@@ -50,6 +54,28 @@ fn tables_accepts_the_name_after_the_jobs_flag() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.starts_with("== Table 3 "), "{stdout}");
     assert_eq!(stdout.matches("== ").count(), 1, "{stdout}");
+}
+
+#[test]
+fn run_rejects_an_unknown_flag_and_a_missing_value() {
+    assert_rejects(
+        &["run", "matrix", "--memroy", "mem2"],
+        "unknown flag \"--memroy\" for run",
+    );
+    assert_rejects(&["run", "matrix", "--mode"], "--mode needs a value");
+    assert_rejects(&["run", "matrix", "--seed"], "--seed needs a value");
+    assert_rejects(
+        &["run", "matrix", "coupled"],
+        "unexpected argument \"coupled\" for run",
+    );
+}
+
+#[test]
+fn compile_rejects_an_unknown_flag() {
+    assert_rejects(
+        &["compile", "programs/fib.pc", "--bogus"],
+        "unknown flag \"--bogus\" for compile",
+    );
 }
 
 #[test]
