@@ -24,7 +24,7 @@
 //! pcsim metrics <matrix|fft|lud|model> [--mode M] [--interconnect I]
 //!               [--memory MM] [--seed N] [--lockstep] [--priority] [--engine E]
 //!               [--json|--prometheus] [--check-overhead PCT [--iters N]]
-//!               # host-side phase profile of one run, or telemetry
+//!               # host counters of one run, or telemetry
 //!               # overhead check (exit 1 when over budget)
 //! ```
 
@@ -86,14 +86,8 @@ fn parse_memory(s: &str) -> MemoryModel {
     }
 }
 
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
-fn parse_engine(args: &[String]) -> coupling::EngineKind {
-    flag_value(args, "--engine")
+fn parse_engine(args: &Checked) -> coupling::EngineKind {
+    args.get("--engine")
         .map(|s| s.parse().unwrap_or_else(|_| usage()))
         .unwrap_or_default()
 }
@@ -129,21 +123,21 @@ fn parse_bench(name: &str) -> coupling::Benchmark {
     }
 }
 
-fn parse_config(args: &[String]) -> Result<MachineConfig, Box<dyn std::error::Error>> {
+fn parse_config(args: &Checked) -> Result<MachineConfig, Box<dyn std::error::Error>> {
     let mut config = MachineConfig::baseline();
-    if let Some(s) = flag_value(args, "--interconnect") {
-        config = config.with_interconnect(parse_scheme(&s));
+    if let Some(s) = args.get("--interconnect") {
+        config = config.with_interconnect(parse_scheme(s));
     }
-    if let Some(s) = flag_value(args, "--memory") {
-        config = config.with_memory(parse_memory(&s));
+    if let Some(s) = args.get("--memory") {
+        config = config.with_memory(parse_memory(s));
     }
-    if let Some(s) = flag_value(args, "--seed") {
+    if let Some(s) = args.get("--seed") {
         config = config.with_seed(s.parse()?);
     }
-    if args.iter().any(|a| a == "--lockstep") {
+    if args.get("--lockstep").is_some() {
         config = config.with_lockstep_issue(true);
     }
-    if args.iter().any(|a| a == "--priority") {
+    if args.get("--priority").is_some() {
         config = config.with_arbitration(ArbitrationPolicy::FixedPriority);
     }
     Ok(config)
@@ -161,48 +155,66 @@ const MACHINE_FLAGS: FlagTable = &[
     ("--priority", false),
 ];
 
-/// Checks `cmd`'s arguments against its flag tables before anything runs
-/// and returns the positional ones. An unknown flag, a flag without its
-/// value, or more than `max_positional` positional arguments is rejected.
+/// A subcommand's arguments once [`check_flags`] has accepted them.
+#[derive(Default)]
+struct Checked<'a> {
+    /// The positional arguments, in order.
+    positional: Vec<&'a str>,
+    /// Each flag given, with its value (`""` for a switch).
+    flags: Vec<(&'a str, &'a str)>,
+}
+
+impl<'a> Checked<'a> {
+    /// The value of the first `flag` given (`""` for a switch), or `None`
+    /// when it is absent.
+    fn get(&self, flag: &str) -> Option<&'a str> {
+        self.flags.iter().find(|f| f.0 == flag).map(|f| f.1)
+    }
+}
+
+/// Checks `cmd`'s arguments against its flag tables before anything runs.
+/// An unknown flag, a flag without its value, or more than
+/// `max_positional` positional arguments is rejected.
 fn check_flags<'a>(
     cmd: &str,
     args: &'a [String],
     tables: &[FlagTable],
     max_positional: usize,
-) -> Vec<&'a str> {
-    let mut positional = Vec::new();
+) -> Checked<'a> {
+    let mut checked = Checked::default();
     let mut args = args.iter().map(String::as_str);
     while let Some(arg) = args.next() {
         if !arg.starts_with('-') {
-            if positional.len() == max_positional {
+            if checked.positional.len() == max_positional {
                 reject(format!("unexpected argument {arg:?} for {cmd}"));
             }
-            positional.push(arg);
+            checked.positional.push(arg);
             continue;
         }
         let Some(&(_, takes_value)) = tables.iter().flat_map(|t| t.iter()).find(|f| f.0 == arg)
         else {
             reject(format!("unknown flag {arg:?} for {cmd}"))
         };
-        if takes_value && args.next().is_none() {
-            reject(format!("{arg} needs a value"));
-        }
+        let value = if takes_value {
+            args.next()
+                .unwrap_or_else(|| reject(format!("{arg} needs a value")))
+        } else {
+            ""
+        };
+        checked.flags.push((arg, value));
     }
-    positional
+    checked
 }
 
 fn cmd_run(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     const RUN_FLAGS: FlagTable = &[("--mode", true), ("--engine", true)];
-    let [name] = check_flags("run", args, &[MACHINE_FLAGS, RUN_FLAGS], 1)[..] else {
-        usage()
-    };
+    let args = check_flags("run", args, &[MACHINE_FLAGS, RUN_FLAGS], 1);
+    let [name] = args.positional[..] else { usage() };
     let bench = parse_bench(name);
-    let mode = flag_value(args, "--mode")
-        .map(|s| parse_mode(&s))
-        .unwrap_or(MachineMode::Coupled);
-    let config = parse_config(args)?;
+    let mode = args.get("--mode").map_or(MachineMode::Coupled, parse_mode);
+    let config = parse_config(&args)?;
     let observe = Observe {
-        engine: parse_engine(args),
+        engine: parse_engine(&args),
         ..Observe::default()
     };
     let out = run_benchmark_observed(&bench, mode, config, &observe)?;
@@ -233,16 +245,19 @@ fn cmd_run(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 }
 
 fn cmd_profile(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    let Some(name) = args.first() else { usage() };
+    const PROFILE_FLAGS: FlagTable = &[("--engine", true), ("--jsonl", true), ("--chrome", true)];
+    let args = check_flags("profile", args, &[MACHINE_FLAGS, PROFILE_FLAGS], 2);
+    let [name, mode] = args.positional[..] else {
+        usage()
+    };
     let bench = parse_bench(name);
-    let Some(mode_arg) = args.get(1) else { usage() };
-    let mode = parse_mode(mode_arg);
-    let config = parse_config(args)?;
+    let mode = parse_mode(mode);
+    let config = parse_config(&args)?;
     let observe = Observe {
         profile: true,
-        jsonl: flag_value(args, "--jsonl").map(Into::into),
-        chrome: flag_value(args, "--chrome").map(Into::into),
-        engine: parse_engine(args),
+        jsonl: args.get("--jsonl").map(Into::into),
+        chrome: args.get("--chrome").map(Into::into),
+        engine: parse_engine(&args),
         ..Observe::default()
     };
     let out = run_benchmark_observed(&bench, mode, config, &observe)?;
@@ -268,15 +283,17 @@ fn cmd_profile(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 }
 
 fn cmd_explain(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    let Some(name) = args.first() else { usage() };
+    let args = check_flags("explain", args, &[MACHINE_FLAGS, &[("--modes", true)]], 1);
+    let [name] = args.positional[..] else { usage() };
     let bench = parse_bench(name);
-    let modes: Vec<MachineMode> = flag_value(args, "--modes")
+    let modes: Vec<MachineMode> = args
+        .get("--modes")
         .map(|s| s.split(',').map(|m| parse_mode(m.trim())).collect())
         .unwrap_or_else(|| vec![MachineMode::Seq, MachineMode::Coupled]);
     if modes.is_empty() {
         usage();
     }
-    let config = parse_config(args)?;
+    let config = parse_config(&args)?;
     let mut tables = Vec::new();
     for &mode in &modes {
         let out = run_benchmark_observed(&bench, mode, config.clone(), &Observe::profiled())?;
@@ -310,11 +327,10 @@ fn cmd_explain(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 }
 
 fn cmd_compile(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    let [path] = check_flags("compile", args, &[&[("--single", false)]], 1)[..] else {
-        usage()
-    };
+    let args = check_flags("compile", args, &[&[("--single", false)]], 1);
+    let [path] = args.positional[..] else { usage() };
     let src = std::fs::read_to_string(path)?;
-    let mode = if args.iter().any(|a| a == "--single") {
+    let mode = if args.get("--single").is_some() {
         ScheduleMode::Single
     } else {
         ScheduleMode::Unrestricted
@@ -331,13 +347,14 @@ fn cmd_compile(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 }
 
 fn cmd_exec(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    let Some(path) = args.first() else { usage() };
+    let args = check_flags("exec", args, &[&[("--trace", true)]], 1);
+    let [path] = args.positional[..] else { usage() };
     let src = std::fs::read_to_string(path)?;
     let config = MachineConfig::baseline();
     let out = pc_compiler::compile(&src, &config, ScheduleMode::Unrestricted)?;
     let symbols: Vec<String> = out.program.symbols.keys().cloned().collect();
     let mut m = pc_sim::Machine::new(config.clone(), out.program)?;
-    let trace_cycles: Option<u64> = flag_value(args, "--trace").map(|s| s.parse()).transpose()?;
+    let trace_cycles: Option<u64> = args.get("--trace").map(str::parse).transpose()?;
     let trace = Rc::new(RefCell::new(Vec::<pc_sim::TraceEvent>::new()));
     if trace_cycles.is_some() {
         m.attach_probe(Box::new(Rc::clone(&trace)));
@@ -443,23 +460,31 @@ fn cmd_tables(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 }
 
 fn cmd_metrics(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    let Some(name) = args.first() else { usage() };
+    const METRICS_FLAGS: FlagTable = &[
+        ("--mode", true),
+        ("--engine", true),
+        ("--json", false),
+        ("--prometheus", false),
+        ("--check-overhead", true),
+        ("--iters", true),
+    ];
+    let args = check_flags("metrics", args, &[MACHINE_FLAGS, METRICS_FLAGS], 1);
+    let [name] = args.positional[..] else { usage() };
     let bench = parse_bench(name);
-    let mode = flag_value(args, "--mode")
-        .map(|s| parse_mode(&s))
-        .unwrap_or(MachineMode::Coupled);
-    let config = parse_config(args)?;
-    let engine = parse_engine(args);
+    let mode = args.get("--mode").map_or(MachineMode::Coupled, parse_mode);
+    let config = parse_config(&args)?;
+    let engine = parse_engine(&args);
 
-    if let Some(pct) = flag_value(args, "--check-overhead") {
+    if let Some(pct) = args.get("--check-overhead") {
         // CI guard: best-of-N wall time with host telemetry off vs on.
         // Min-of-N because scheduler noise only ever adds time, so the
         // minimum is the least-noisy estimate either way; the off/on
         // runs interleave so slow drift (thermal, noisy neighbors) hits
         // both sides alike instead of biasing whichever ran second.
         let pct: f64 = pct.parse()?;
-        let iters: usize = flag_value(args, "--iters")
-            .map(|s| s.parse())
+        let iters: usize = args
+            .get("--iters")
+            .map(str::parse)
             .transpose()?
             .unwrap_or(3);
         let observed = |telemetry: bool| Observe {
@@ -498,13 +523,13 @@ fn cmd_metrics(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let out = run_benchmark_observed(&bench, mode, config, &observe)?;
     let profile = out
         .host_profile
-        .ok_or("host profile missing despite telemetry being requested")?;
-    if args.iter().any(|a| a == "--json") {
+        .ok_or("host counters missing despite telemetry being requested")?;
+    if args.get("--json").is_some() {
         println!(
             "{}",
             pc_metrics::Snapshot::from_samples(profile.to_samples()).to_jsonl()
         );
-    } else if args.iter().any(|a| a == "--prometheus") {
+    } else if args.get("--prometheus").is_some() {
         print!(
             "{}",
             pc_metrics::Snapshot::from_samples(profile.to_samples()).render_prometheus("pcsim_")
@@ -525,13 +550,32 @@ fn cmd_metrics(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 fn cmd_sweep(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     use coupling::sweep::{run_sweep, MemKind, Mix, SweepOptions, SweepSpec};
 
-    let mut spec = if args.iter().any(|a| a == "--full") {
+    const SWEEP_FLAGS: FlagTable = &[
+        ("--benches", true),
+        ("--modes", true),
+        ("--interconnects", true),
+        ("--memories", true),
+        ("--mixes", true),
+        ("--full", false),
+        ("--seed", true),
+        ("--jobs", true),
+        ("--out", true),
+        ("--manifest", true),
+        ("--shard", true),
+        ("--cache-dir", true),
+        ("--no-cache", false),
+        ("--telemetry", false),
+        ("--progress", false),
+        ("--metrics-out", true),
+    ];
+    let args = check_flags("sweep", args, &[SWEEP_FLAGS], 0);
+    let mut spec = if args.get("--full").is_some() {
         SweepSpec::full()
     } else {
         SweepSpec::table2()
     };
     let list = |flag: &str| {
-        flag_value(args, flag).map(|s| {
+        args.get(flag).map(|s| {
             s.split(',')
                 .map(|t| t.trim().to_string())
                 .filter(|t| !t.is_empty())
@@ -559,26 +603,26 @@ fn cmd_sweep(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             .map(|m| Mix::parse(m).unwrap_or_else(|| usage()))
             .collect();
     }
-    if let Some(seed) = flag_value(args, "--seed") {
+    if let Some(seed) = args.get("--seed") {
         spec.seed = seed.parse()?;
     }
 
-    let jobs = match flag_value(args, "--jobs") {
+    let jobs = match args.get("--jobs") {
         Some(s) => s.parse::<usize>()?.max(1),
         None => coupling::default_jobs(),
     };
-    let shard = match flag_value(args, "--shard") {
+    let shard = match args.get("--shard") {
         Some(s) => {
             let (k, n) = s.split_once('/').unwrap_or_else(|| usage());
             Some((k.parse::<usize>()?, n.parse::<usize>()?))
         }
         None => None,
     };
-    let cache_dir = if args.iter().any(|a| a == "--no-cache") {
+    let cache_dir = if args.get("--no-cache").is_some() {
         None
     } else {
         Some(
-            flag_value(args, "--cache-dir")
+            args.get("--cache-dir")
                 .map(Into::into)
                 .unwrap_or_else(|| std::path::PathBuf::from("target/sweep-cache")),
         )
@@ -586,12 +630,12 @@ fn cmd_sweep(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let opts = SweepOptions {
         jobs,
         cache_dir,
-        out: flag_value(args, "--out").map(Into::into),
+        out: args.get("--out").map(Into::into),
         shard,
-        manifest: flag_value(args, "--manifest").map(Into::into),
-        telemetry: args.iter().any(|a| a == "--telemetry"),
-        progress: args.iter().any(|a| a == "--progress"),
-        metrics_out: flag_value(args, "--metrics-out").map(Into::into),
+        manifest: args.get("--manifest").map(Into::into),
+        telemetry: args.get("--telemetry").is_some(),
+        progress: args.get("--progress").is_some(),
+        metrics_out: args.get("--metrics-out").map(Into::into),
     };
 
     let summary = run_sweep(&spec, &opts)?;

@@ -33,9 +33,9 @@ pub struct RunOutcome {
     /// the requested engine only when the machine forces a fallback
     /// (more than 64 units clamps to the scan engine).
     pub engine: EngineKind,
-    /// Host-side phase profile ([`Observe::host_telemetry`] runs only):
-    /// where the *host's* time went while simulating, as opposed to
-    /// `stats`, which says where the guest's cycles went.
+    /// Host counters ([`Observe::host_telemetry`] runs only): how much
+    /// work the *host* did while simulating, as opposed to `stats`,
+    /// which says where the guest's cycles went.
     pub host_profile: Option<pc_sim::HostProfile>,
 }
 
@@ -118,8 +118,8 @@ pub struct Observe {
     /// bit-identical results; this only trades host cost for
     /// simplicity (the decoded default is the fastest).
     pub engine: EngineKind,
-    /// Collect the host-side phase profile (sampled wall timers and
-    /// wake-repair event counters; see [`pc_sim::HostProfile`]). Purely
+    /// Collect the host counters (stepped and bulk-skipped cycles and
+    /// wake-repair events; see [`pc_sim::HostProfile`]). Purely
     /// host-side — the simulated results are bit-identical either way.
     pub host_telemetry: bool,
 }
@@ -182,7 +182,7 @@ pub struct ImageRun {
     pub stats: RunStats,
     /// The issue engine that actually produced the run.
     pub engine: EngineKind,
-    /// Host-side phase profile ([`Observe::host_telemetry`] runs only).
+    /// Host counters ([`Observe::host_telemetry`] runs only).
     pub host_profile: Option<pc_sim::HostProfile>,
 }
 

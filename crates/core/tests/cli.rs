@@ -79,6 +79,67 @@ fn compile_rejects_an_unknown_flag() {
 }
 
 #[test]
+fn explain_rejects_an_unknown_flag() {
+    assert_rejects(
+        &["explain", "matrix", "--mode", "coupled"],
+        "unknown flag \"--mode\" for explain",
+    );
+}
+
+#[test]
+fn exec_rejects_an_unknown_flag_and_a_missing_value() {
+    assert_rejects(
+        &["exec", "programs/fib.pc", "--trace"],
+        "--trace needs a value",
+    );
+    assert_rejects(
+        &["exec", "programs/fib.pc", "--bogus"],
+        "unknown flag \"--bogus\" for exec",
+    );
+}
+
+#[test]
+fn metrics_rejects_an_unknown_flag_and_a_missing_value() {
+    assert_rejects(
+        &["metrics", "matrix", "--jsn"],
+        "unknown flag \"--jsn\" for metrics",
+    );
+    assert_rejects(
+        &["metrics", "matrix", "--check-overhead"],
+        "--check-overhead needs a value",
+    );
+}
+
+#[test]
+fn profile_rejects_an_unknown_flag_and_a_third_argument() {
+    assert_rejects(
+        &["profile", "matrix", "coupled", "--chrom", "/tmp/x.json"],
+        "unknown flag \"--chrom\" for profile",
+    );
+    assert_rejects(
+        &["profile", "matrix", "coupled", "extra"],
+        "unexpected argument \"extra\" for profile",
+    );
+}
+
+#[test]
+fn sweep_rejects_an_unknown_flag_and_a_missing_value() {
+    let sweep = [
+        "sweep",
+        "--benches",
+        "matrix",
+        "--modes",
+        "seq",
+        "--no-cache",
+    ];
+    assert_rejects(
+        &[&sweep[..], &["--help"]].concat(),
+        "unknown flag \"--help\" for sweep",
+    );
+    assert_rejects(&[&sweep[..], &["--jobs"]].concat(), "--jobs needs a value");
+}
+
+#[test]
 fn run_rejects_an_unknown_engine() {
     let out = Command::new(env!("CARGO_BIN_EXE_pcsim"))
         .args(["run", "matrix", "--engine", "event"])

@@ -3,7 +3,7 @@
 //! The simulated machine is fully attributable (`StallTable`, `pcsim
 //! explain`); this crate gives the *host* the same treatment: where do
 //! the simulator's and the sweep engine's own nanoseconds go? It is the
-//! shared metrics vocabulary under the engine phase profile
+//! shared metrics vocabulary under the engine's host counters
 //! (`pc_sim::HostProfile`), the sweep pool/cache telemetry
 //! (`coupling::sweep`), and the `pcsim metrics` report.
 //!
@@ -24,11 +24,6 @@
 //!    ([`Snapshot::render_text`]), one JSONL line
 //!    ([`Snapshot::to_jsonl`]), or Prometheus text exposition
 //!    ([`Snapshot::render_prometheus`]) ready for a `/metrics` endpoint.
-//!
-//! Hot single-threaded loops (the simulator's per-cycle phases) use the
-//! non-atomic [`SampledTimers`] instead: exact invocation counts plus
-//! clock reads on one invocation in [`SAMPLE_PERIOD`], so the estimated
-//! per-phase nanoseconds cost a fraction of a clock read per cycle.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,13 +34,6 @@ pub use render::{render_prometheus, sanitize_metric_name};
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
-
-/// How many invocations one [`SampledTimers`] clock pair covers: phase
-/// `k` is timed on every invocation with `calls % SAMPLE_PERIOD == 0`
-/// and the total is estimated by scaling. Power of two so the hot-path
-/// check is a mask.
-pub const SAMPLE_PERIOD: u64 = 512;
 
 const RELAXED: Ordering = Ordering::Relaxed;
 
@@ -275,82 +263,6 @@ impl Lanes {
 }
 
 // ---------------------------------------------------------------------
-// Sampled phase timers (single-threaded hot loops)
-// ---------------------------------------------------------------------
-
-/// Exact-count, sampled-duration timers for `N` phases of a
-/// single-threaded hot loop (the simulator's per-cycle step phases).
-///
-/// Every invocation increments the phase's call count; one in
-/// [`SAMPLE_PERIOD`] also reads the clock around the phase body. The
-/// total duration is then *estimated* as `sampled_ns × calls /
-/// sampled_calls` — unbiased under the cycle-mix assumption and two
-/// orders of magnitude cheaper than timing every call, which is what
-/// keeps metrics-on runs inside the bench-gate noise floor.
-#[derive(Debug, Clone)]
-pub struct SampledTimers<const N: usize> {
-    calls: [u64; N],
-    sampled_calls: [u64; N],
-    sampled_ns: [u64; N],
-}
-
-impl<const N: usize> Default for SampledTimers<N> {
-    fn default() -> Self {
-        SampledTimers {
-            calls: [0; N],
-            sampled_calls: [0; N],
-            sampled_ns: [0; N],
-        }
-    }
-}
-
-impl<const N: usize> SampledTimers<N> {
-    /// Fresh timers, all zero.
-    pub fn new() -> Self {
-        SampledTimers::default()
-    }
-
-    /// Marks one invocation of phase `i`; returns a start token on
-    /// sampled invocations (pass it to [`SampledTimers::stop`]).
-    #[inline]
-    pub fn start(&mut self, i: usize) -> Option<Instant> {
-        let c = self.calls[i];
-        self.calls[i] = c + 1;
-        (c & (SAMPLE_PERIOD - 1) == 0).then(Instant::now)
-    }
-
-    /// Closes a sampled invocation of phase `i` (no-op for `None`).
-    #[inline]
-    pub fn stop(&mut self, i: usize, t0: Option<Instant>) {
-        if let Some(t0) = t0 {
-            self.sampled_calls[i] += 1;
-            self.sampled_ns[i] += t0.elapsed().as_nanos() as u64;
-        }
-    }
-
-    /// Exact invocation count of phase `i`.
-    pub fn calls(&self, i: usize) -> u64 {
-        self.calls[i]
-    }
-
-    /// Invocations of phase `i` that were actually clocked.
-    pub fn sampled_calls(&self, i: usize) -> u64 {
-        self.sampled_calls[i]
-    }
-
-    /// Estimated total nanoseconds in phase `i`: the sampled mean
-    /// scaled to the exact call count (0 when never sampled).
-    pub fn estimated_ns(&self, i: usize) -> u64 {
-        if self.sampled_calls[i] == 0 {
-            return 0;
-        }
-        // 128-bit intermediate: ns × calls overflows u64 on long runs.
-        ((self.sampled_ns[i] as u128 * self.calls[i] as u128) / self.sampled_calls[i] as u128)
-            as u64
-    }
-}
-
-// ---------------------------------------------------------------------
 // Registry and snapshot
 // ---------------------------------------------------------------------
 
@@ -493,8 +405,8 @@ pub enum SampleValue {
 }
 
 /// A point-in-time aggregation of a [`Registry`] (or a hand-built set
-/// of samples — the engine's [`SampledTimers`] profile converts into
-/// one for uniform rendering).
+/// of samples — the engine's host counters convert into one for
+/// uniform rendering).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Snapshot {
     /// Samples in `(name, label)` order.
@@ -687,30 +599,6 @@ mod tests {
         assert_eq!(l.per_lane(), vec![6, 0, 7]);
         assert_eq!(l.total(), 13);
         assert_eq!(Lanes::new(0).len(), 1, "zero lanes clamps to one");
-    }
-
-    #[test]
-    fn sampled_timers_estimate_scales_to_exact_calls() {
-        let mut t = SampledTimers::<2>::new();
-        for _ in 0..(SAMPLE_PERIOD * 3) {
-            let tok = t.start(0);
-            // Only every SAMPLE_PERIOD-th invocation carries a token;
-            // hold those open until the clock visibly advances so the
-            // estimate is provably nonzero.
-            if let Some(t0) = tok {
-                while t0.elapsed().as_nanos() == 0 {
-                    std::hint::spin_loop();
-                }
-            }
-            t.stop(0, tok);
-        }
-        assert_eq!(t.calls(0), SAMPLE_PERIOD * 3);
-        assert_eq!(t.sampled_calls(0), 3);
-        assert_eq!(t.calls(1), 0);
-        assert_eq!(t.estimated_ns(1), 0);
-        // Estimate = mean sampled ns × calls ≥ calls, since every
-        // sampled window read at least 1 ns.
-        assert!(t.estimated_ns(0) >= t.calls(0), "{}", t.estimated_ns(0));
     }
 
     #[test]

@@ -64,11 +64,9 @@ pub mod trace;
 pub use decode::DecodedProgram;
 pub use error::SimError;
 pub use machine::{EngineKind, Machine};
-pub use probe::{
-    ChromeTraceSink, EventCounts, Fanout, JsonlSink, Probe, ProbeEvent, RingSink, StallCause,
-};
+pub use probe::{ChromeTraceSink, Fanout, JsonlSink, Probe, ProbeEvent, StallCause};
 pub use regfile::RegFileSet;
 pub use stats::{ProbeRecord, RunStats, StallTable, ThreadStalls};
-pub use telemetry::{HostPhase, HostProfile};
+pub use telemetry::HostProfile;
 pub use thread::{ThreadId, ThreadState};
 pub use trace::TraceEvent;

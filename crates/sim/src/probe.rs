@@ -9,12 +9,10 @@
 //! profiling off) the hot loop takes a single predicted branch and
 //! allocates nothing, exactly as before.
 //!
-//! Four sinks ship with the simulator:
+//! Three sinks ship with the simulator:
 //!
 //! * `Vec<`[`TraceEvent`]`>` — the issue trace: keeps every `issue`
 //!   event, as input to the [`crate::trace`] interleaving renderers;
-//! * [`RingSink`] — a bounded in-memory ring buffer (keeps the last *N*
-//!   events; per-kind counts are exact over the whole run);
 //! * [`JsonlSink`] — one JSON object per line, streamed to any
 //!   [`std::io::Write`];
 //! * [`ChromeTraceSink`] — the Chrome `trace_event` JSON array format,
@@ -29,7 +27,6 @@
 
 use crate::trace::TraceEvent;
 use pc_isa::{FuId, UnitClass};
-use std::collections::VecDeque;
 use std::io::{self, Write};
 
 /// Why a thread (or one of its instruction slots) could not issue this
@@ -301,99 +298,6 @@ impl<P: Probe> Probe for std::rc::Rc<std::cell::RefCell<P>> {
     }
 }
 
-/// Exact per-kind event counts, kept by every shipped sink so lossy
-/// sinks (the ring) and streaming sinks can still be cross-checked.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EventCounts {
-    /// `issue` events.
-    pub issues: u64,
-    /// `stall` events.
-    pub stalls: u64,
-    /// `writeback` events.
-    pub writebacks: u64,
-    /// `arb-loss` events.
-    pub arb_losses: u64,
-    /// `wb-denied` events.
-    pub wb_denials: u64,
-    /// `bank-conflict` events.
-    pub bank_conflicts: u64,
-    /// `sync-retry` events.
-    pub sync_retries: u64,
-}
-
-impl EventCounts {
-    fn record(&mut self, e: &ProbeEvent) {
-        match e {
-            ProbeEvent::Issue(_) => self.issues += 1,
-            ProbeEvent::Stall { .. } => self.stalls += 1,
-            ProbeEvent::Writeback { .. } => self.writebacks += 1,
-            ProbeEvent::ArbLoss { .. } => self.arb_losses += 1,
-            ProbeEvent::WbDenied { .. } => self.wb_denials += 1,
-            ProbeEvent::BankConflict { .. } => self.bank_conflicts += 1,
-            ProbeEvent::SyncRetry { .. } => self.sync_retries += 1,
-        }
-    }
-
-    /// Total events recorded.
-    pub fn total(&self) -> u64 {
-        self.issues
-            + self.stalls
-            + self.writebacks
-            + self.arb_losses
-            + self.wb_denials
-            + self.bank_conflicts
-            + self.sync_retries
-    }
-}
-
-/// Bounded in-memory sink: keeps the most recent `capacity` events and
-/// exact per-kind counts over the whole run.
-#[derive(Debug, Clone)]
-pub struct RingSink {
-    buf: VecDeque<ProbeEvent>,
-    capacity: usize,
-    counts: EventCounts,
-    dropped: u64,
-}
-
-impl RingSink {
-    /// A ring holding at most `capacity` events (≥ 1).
-    pub fn new(capacity: usize) -> Self {
-        RingSink {
-            buf: VecDeque::new(),
-            capacity: capacity.max(1),
-            counts: EventCounts::default(),
-            dropped: 0,
-        }
-    }
-
-    /// The retained events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &ProbeEvent> {
-        self.buf.iter()
-    }
-
-    /// Exact per-kind counts over the whole run (not just retained).
-    pub fn counts(&self) -> EventCounts {
-        self.counts
-    }
-
-    /// Events evicted to honor the capacity bound.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-}
-
-impl Probe for RingSink {
-    fn event(&mut self, e: &ProbeEvent) {
-        self.counts.record(e);
-        if self.buf.len() == self.capacity {
-            self.buf.pop_front();
-            self.dropped += 1;
-        }
-        self.buf.push_back(e.clone());
-    }
-}
-
 /// The issue trace: records every `issue` event and ignores the rest.
 impl Probe for Vec<TraceEvent> {
     fn event(&mut self, e: &ProbeEvent) {
@@ -409,7 +313,6 @@ impl Probe for Vec<TraceEvent> {
 pub struct JsonlSink<W: Write> {
     w: W,
     line: String,
-    counts: EventCounts,
     err: Option<io::Error>,
 }
 
@@ -420,14 +323,8 @@ impl<W: Write> JsonlSink<W> {
         JsonlSink {
             w,
             line: String::new(),
-            counts: EventCounts::default(),
             err: None,
         }
-    }
-
-    /// Exact per-kind counts written so far.
-    pub fn counts(&self) -> EventCounts {
-        self.counts
     }
 
     /// Consumes the sink, returning the writer or the first IO error.
@@ -446,7 +343,6 @@ impl<W: Write> JsonlSink<W> {
 impl<W: Write> std::fmt::Debug for JsonlSink<W> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("JsonlSink")
-            .field("counts", &self.counts)
             .field("err", &self.err)
             .finish_non_exhaustive()
     }
@@ -457,7 +353,6 @@ impl<W: Write> Probe for JsonlSink<W> {
         if self.err.is_some() {
             return;
         }
-        self.counts.record(e);
         self.line.clear();
         e.write_json(&mut self.line);
         self.line.push('\n');
@@ -488,7 +383,6 @@ impl<W: Write> Probe for JsonlSink<W> {
 pub struct ChromeTraceSink<W: Write> {
     w: W,
     line: String,
-    counts: EventCounts,
     first: bool,
     closed: bool,
     /// `(pid, tid)` pairs already given metadata records.
@@ -509,7 +403,6 @@ impl<W: Write> ChromeTraceSink<W> {
         ChromeTraceSink {
             w,
             line: String::new(),
-            counts: EventCounts::default(),
             first: true,
             closed: false,
             named: Vec::new(),
@@ -544,12 +437,6 @@ impl<W: Write> ChromeTraceSink<W> {
             s.push_str(&format!(r#","loop":"{label}""#));
         }
         s
-    }
-
-    /// Exact per-kind counts of the *simulation* events consumed (the
-    /// JSON stream additionally contains metadata records).
-    pub fn counts(&self) -> EventCounts {
-        self.counts
     }
 
     /// Consumes the sink, returning the writer or the first IO error.
@@ -602,7 +489,6 @@ impl<W: Write> ChromeTraceSink<W> {
 impl<W: Write> std::fmt::Debug for ChromeTraceSink<W> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ChromeTraceSink")
-            .field("counts", &self.counts)
             .field("err", &self.err)
             .finish_non_exhaustive()
     }
@@ -610,7 +496,6 @@ impl<W: Write> std::fmt::Debug for ChromeTraceSink<W> {
 
 impl<W: Write> Probe for ChromeTraceSink<W> {
     fn event(&mut self, e: &ProbeEvent) {
-        self.counts.record(e);
         match e {
             ProbeEvent::Issue(t) => {
                 self.ensure_named(t.thread, t.fu.0, &format!("u{}", t.fu.0));
@@ -645,7 +530,7 @@ impl<W: Write> Probe for ChromeTraceSink<W> {
                 self.push_record(&rec);
             }
             // Writebacks, arbitration and memory events would clutter the
-            // lanes; they are counted but not drawn.
+            // lanes; they are not drawn.
             _ => {}
         }
     }
@@ -661,8 +546,8 @@ impl<W: Write> Probe for ChromeTraceSink<W> {
     }
 }
 
-/// Broadcasts every event to several sinks (e.g. a ring for in-process
-/// inspection plus a JSONL file on disk).
+/// Broadcasts every event to several sinks (e.g. an issue trace for
+/// in-process inspection plus a JSONL file on disk).
 #[derive(Default)]
 pub struct Fanout {
     sinks: Vec<Box<dyn Probe>>,
@@ -729,27 +614,6 @@ mod tests {
     }
 
     #[test]
-    fn ring_keeps_last_n_with_exact_counts() {
-        let mut ring = RingSink::new(2);
-        for c in 0..5 {
-            ring.event(&issue(c, 0, 0));
-        }
-        ring.event(&ProbeEvent::Stall {
-            cycle: 5,
-            thread: 0,
-            cause: StallCause::EmptyRow,
-            class: None,
-            at: None,
-        });
-        assert_eq!(ring.counts().issues, 5);
-        assert_eq!(ring.counts().stalls, 1);
-        assert_eq!(ring.counts().total(), 6);
-        assert_eq!(ring.dropped(), 4);
-        let cycles: Vec<u64> = ring.events().map(ProbeEvent::cycle).collect();
-        assert_eq!(cycles, vec![4, 5]);
-    }
-
-    #[test]
     fn trace_sink_keeps_only_issues() {
         let mut trace: Vec<TraceEvent> = Vec::new();
         trace.event(&issue(3, 1, 2));
@@ -776,7 +640,6 @@ mod tests {
             parked: true,
         });
         sink.finish();
-        assert_eq!(sink.counts().total(), 2);
         let bytes = sink.into_result().unwrap();
         let text = String::from_utf8(bytes).unwrap();
         let lines: Vec<&str> = text.lines().collect();
@@ -803,7 +666,7 @@ mod tests {
             cycle: 2,
             thread: 1,
             fu: FuId(0),
-        }); // counted, not drawn
+        }); // not drawn
         let bytes = sink.into_result().unwrap();
         let text = String::from_utf8(bytes).unwrap();
         assert!(text.trim_start().starts_with('['));
@@ -818,13 +681,19 @@ mod tests {
 
     #[test]
     fn fanout_broadcasts() {
-        let ring_a = RingSink::new(8);
-        let ring_b = RingSink::new(8);
-        let mut fan = Fanout::new().with(Box::new(ring_a)).with(Box::new(ring_b));
+        use std::cell::RefCell;
+        use std::rc::Rc;
+        let a = Rc::new(RefCell::new(Vec::<TraceEvent>::new()));
+        let b = Rc::new(RefCell::new(Vec::<TraceEvent>::new()));
+        let mut fan = Fanout::new()
+            .with(Box::new(Rc::clone(&a)))
+            .with(Box::new(Rc::clone(&b)));
         assert_eq!(fan.len(), 2);
         assert!(!fan.is_empty());
         fan.event(&issue(0, 0, 0));
         fan.finish();
+        assert_eq!(a.borrow().len(), 1);
+        assert_eq!(b.borrow().len(), 1);
     }
 
     #[test]

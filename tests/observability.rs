@@ -4,7 +4,9 @@
 //! as a plain run, the stall table has to account for every live thread
 //! cycle, and the file sinks have to round-trip the event stream.
 
-use coupling::{benchmarks, run_benchmark, run_benchmark_observed, MachineMode, Observe};
+use coupling::{
+    benchmarks, run_benchmark, run_benchmark_observed, EngineKind, MachineMode, Observe,
+};
 use pc_isa::MachineConfig;
 use pc_sim::StallCause;
 use std::path::PathBuf;
@@ -44,6 +46,44 @@ fn profiling_never_perturbs_any_benchmark() {
                 "{} {mode}: profiling changed the run",
                 bench.name
             );
+        }
+    }
+}
+
+/// The host-counter invariant: every simulated cycle is either stepped
+/// or skipped in bulk, so `steps + idle_cycles_skipped == cycles`, for
+/// every benchmark × mode × {Min, Mem2} on both engines. Scan steps every
+/// cycle, so it never skips.
+#[test]
+fn host_counters_account_for_every_cycle() {
+    use coupling::runner::{compile_image, run_image};
+    use pc_isa::MemoryModel;
+    for bench in benchmarks::all() {
+        for mode in MachineMode::all() {
+            if bench.source(mode).is_none() {
+                continue;
+            }
+            let base = MachineConfig::baseline();
+            let image =
+                compile_image(&bench, mode, &base, pc_compiler::CompileOptions::default()).unwrap();
+            for memory in [MemoryModel::min(), MemoryModel::mem2()] {
+                for engine in [EngineKind::Decoded, EngineKind::Scan] {
+                    let observe = Observe {
+                        engine,
+                        host_telemetry: true,
+                        ..Observe::default()
+                    };
+                    let config = base.clone().with_memory(memory);
+                    let run = run_image(&bench, &image, config, &observe).unwrap();
+                    let p = run.host_profile.expect("telemetry enabled");
+                    let at = format!("{} {mode} {} {memory:?}", bench.name, engine.name());
+                    assert_eq!(p.steps + p.idle_cycles_skipped, run.stats.cycles, "{at}");
+                    if engine == EngineKind::Scan {
+                        assert_eq!(p.idle_cycles_skipped, 0, "{at}");
+                        assert_eq!(p.idle_spans_skipped, 0, "{at}");
+                    }
+                }
+            }
         }
     }
 }
