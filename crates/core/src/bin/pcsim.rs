@@ -19,7 +19,7 @@
 //!             [--memories mm,..] [--mixes base,2x3,..] [--full] [--seed N]
 //!             [--jobs N] [--out FILE] [--manifest FILE] [--shard k/n]
 //!             [--cache-dir DIR] [--no-cache]
-//!             [--telemetry] [--progress] [--metrics-out FILE]
+//!             [--progress] [--metrics-out FILE]
 //!             # batch engine: cross-product runs, JSONL rows, resumable
 //! pcsim metrics <matrix|fft|lud|model> [--mode M] [--interconnect I]
 //!               [--memory MM] [--seed N] [--lockstep] [--priority] [--engine E]
@@ -48,7 +48,7 @@ fn usage() -> ! {
   pcsim tables [table2|table3|fig5|fig6|fig7|fig8|ablations|registers|scaling] [--jobs N]
   pcsim sweep [--benches a,b] [--modes m,..] [--interconnects i,..] [--memories mm,..] [--mixes base,2x3]
               [--full] [--seed N] [--jobs N] [--out FILE] [--manifest FILE] [--shard k/n] [--cache-dir DIR] [--no-cache]
-              [--telemetry] [--progress] [--metrics-out FILE]
+              [--progress] [--metrics-out FILE]
   pcsim metrics <matrix|fft|lud|model> [--mode M] [--interconnect I] [--memory MM] [--seed N] [--lockstep] [--priority]
                 [--engine E] [--json|--prometheus] [--check-overhead PCT [--iters N]]"
     );
@@ -123,7 +123,7 @@ fn parse_bench(name: &str) -> coupling::Benchmark {
     }
 }
 
-fn parse_config(args: &Checked) -> Result<MachineConfig, Box<dyn std::error::Error>> {
+fn parse_config(args: &Checked) -> MachineConfig {
     let mut config = MachineConfig::baseline();
     if let Some(s) = args.get("--interconnect") {
         config = config.with_interconnect(parse_scheme(s));
@@ -132,7 +132,7 @@ fn parse_config(args: &Checked) -> Result<MachineConfig, Box<dyn std::error::Err
         config = config.with_memory(parse_memory(s));
     }
     if let Some(s) = args.get("--seed") {
-        config = config.with_seed(s.parse()?);
+        config = config.with_seed(parse_number("--seed", s));
     }
     if args.get("--lockstep").is_some() {
         config = config.with_lockstep_issue(true);
@@ -140,7 +140,7 @@ fn parse_config(args: &Checked) -> Result<MachineConfig, Box<dyn std::error::Err
     if args.get("--priority").is_some() {
         config = config.with_arbitration(ArbitrationPolicy::FixedPriority);
     }
-    Ok(config)
+    config
 }
 
 /// One subcommand's flags, each with whether it takes a value.
@@ -212,7 +212,7 @@ fn cmd_run(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let [name] = args.positional[..] else { usage() };
     let bench = parse_bench(name);
     let mode = args.get("--mode").map_or(MachineMode::Coupled, parse_mode);
-    let config = parse_config(&args)?;
+    let config = parse_config(&args);
     let observe = Observe {
         engine: parse_engine(&args),
         ..Observe::default()
@@ -252,7 +252,7 @@ fn cmd_profile(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     };
     let bench = parse_bench(name);
     let mode = parse_mode(mode);
-    let config = parse_config(&args)?;
+    let config = parse_config(&args);
     let observe = Observe {
         profile: true,
         jsonl: args.get("--jsonl").map(Into::into),
@@ -293,7 +293,7 @@ fn cmd_explain(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     if modes.is_empty() {
         usage();
     }
-    let config = parse_config(&args)?;
+    let config = parse_config(&args);
     let mut tables = Vec::new();
     for &mode in &modes {
         let out = run_benchmark_observed(&bench, mode, config.clone(), &Observe::profiled())?;
@@ -349,12 +349,12 @@ fn cmd_compile(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 fn cmd_exec(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let args = check_flags("exec", args, &[&[("--trace", true)]], 1);
     let [path] = args.positional[..] else { usage() };
+    let trace_cycles: Option<u64> = args.get("--trace").map(|s| parse_number("--trace", s));
     let src = std::fs::read_to_string(path)?;
     let config = MachineConfig::baseline();
     let out = pc_compiler::compile(&src, &config, ScheduleMode::Unrestricted)?;
     let symbols: Vec<String> = out.program.symbols.keys().cloned().collect();
     let mut m = pc_sim::Machine::new(config.clone(), out.program)?;
-    let trace_cycles: Option<u64> = args.get("--trace").map(str::parse).transpose()?;
     let trace = Rc::new(RefCell::new(Vec::<pc_sim::TraceEvent>::new()));
     if trace_cycles.is_some() {
         m.attach_probe(Box::new(Rc::clone(&trace)));
@@ -398,6 +398,13 @@ fn reject(message: String) -> ! {
     std::process::exit(2);
 }
 
+/// Parses `flag`'s numeric `value`, rejecting one that is not a number.
+fn parse_number<T: std::str::FromStr>(flag: &str, value: &str) -> T {
+    value
+        .parse()
+        .unwrap_or_else(|_| reject(format!("{flag} value {value:?} is not a number")))
+}
+
 fn cmd_tables(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let mut which: Option<&str> = None;
     let mut jobs = coupling::default_jobs();
@@ -408,10 +415,7 @@ fn cmd_tables(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
                 let Some(value) = args.next() else {
                     reject("--jobs needs a value".into())
                 };
-                let Ok(n) = value.parse::<usize>() else {
-                    reject(format!("--jobs value {value:?} is not a number"))
-                };
-                jobs = n.max(1);
+                jobs = parse_number::<usize>("--jobs", value).max(1);
             }
             flag if flag.starts_with('-') => reject(format!("unknown flag {flag:?} for tables")),
             name if !TABLES.contains(&name) => reject(format!("unknown table {name:?}")),
@@ -472,7 +476,7 @@ fn cmd_metrics(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let [name] = args.positional[..] else { usage() };
     let bench = parse_bench(name);
     let mode = args.get("--mode").map_or(MachineMode::Coupled, parse_mode);
-    let config = parse_config(&args)?;
+    let config = parse_config(&args);
     let engine = parse_engine(&args);
 
     if let Some(pct) = args.get("--check-overhead") {
@@ -481,12 +485,10 @@ fn cmd_metrics(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         // minimum is the least-noisy estimate either way; the off/on
         // runs interleave so slow drift (thermal, noisy neighbors) hits
         // both sides alike instead of biasing whichever ran second.
-        let pct: f64 = pct.parse()?;
+        let pct: f64 = parse_number("--check-overhead", pct);
         let iters: usize = args
             .get("--iters")
-            .map(str::parse)
-            .transpose()?
-            .unwrap_or(3);
+            .map_or(3, |s| parse_number("--iters", s));
         let observed = |telemetry: bool| Observe {
             engine,
             host_telemetry: telemetry,
@@ -564,7 +566,6 @@ fn cmd_sweep(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         ("--shard", true),
         ("--cache-dir", true),
         ("--no-cache", false),
-        ("--telemetry", false),
         ("--progress", false),
         ("--metrics-out", true),
     ];
@@ -604,20 +605,16 @@ fn cmd_sweep(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             .collect();
     }
     if let Some(seed) = args.get("--seed") {
-        spec.seed = seed.parse()?;
+        spec.seed = parse_number("--seed", seed);
     }
 
-    let jobs = match args.get("--jobs") {
-        Some(s) => s.parse::<usize>()?.max(1),
-        None => coupling::default_jobs(),
-    };
-    let shard = match args.get("--shard") {
-        Some(s) => {
-            let (k, n) = s.split_once('/').unwrap_or_else(|| usage());
-            Some((k.parse::<usize>()?, n.parse::<usize>()?))
-        }
-        None => None,
-    };
+    let jobs = args.get("--jobs").map_or_else(coupling::default_jobs, |s| {
+        parse_number::<usize>("--jobs", s).max(1)
+    });
+    let shard = args.get("--shard").map(|s| {
+        let (k, n) = s.split_once('/').unwrap_or_else(|| usage());
+        (parse_number("--shard", k), parse_number("--shard", n))
+    });
     let cache_dir = if args.get("--no-cache").is_some() {
         None
     } else {
@@ -633,7 +630,6 @@ fn cmd_sweep(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         out: args.get("--out").map(Into::into),
         shard,
         manifest: args.get("--manifest").map(Into::into),
-        telemetry: args.get("--telemetry").is_some(),
         progress: args.get("--progress").is_some(),
         metrics_out: args.get("--metrics-out").map(Into::into),
     };

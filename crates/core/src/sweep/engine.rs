@@ -1,5 +1,5 @@
 //! The sweep batch engine: enumerate a configuration cross-product,
-//! fan the cells over the work-stealing pool, serve repeats from the
+//! hand the cells to the pool's workers, serve repeats from the
 //! content-addressed cache, stream results as JSONL, and keep a
 //! manifest that makes sharded runs resumable.
 //!
@@ -16,14 +16,14 @@
 //!
 //! Determinism contract: the rows of a sweep (and the JSONL lines,
 //! after zeroing the per-row `wall_ns` and `cached` fields) are a pure
-//! function of the spec — independent of `jobs`, steal order, cache
+//! function of the spec — independent of `jobs`, dispatch order, cache
 //! state, sharding, or how many times the run was killed and resumed.
 //! Rows are flushed in **cell order** through a reorder buffer, so even
 //! the byte order of a given run's output is deterministic.
 
 use super::cache::{cache_key, CachedResult, ResultCache};
 use super::codec::{escape_json, parse_json, stats_from_value, stats_to_json, Json};
-use super::pool::{run_pool, try_par_map};
+use super::pool::{par_map_in, run_pool};
 use super::telemetry::SweepTelemetry;
 use crate::benchmarks::{self, Benchmark};
 use crate::mode::MachineMode;
@@ -333,13 +333,14 @@ pub struct SweepOptions {
     /// cells skipped (resume). Defaults to `<out>.manifest.json` when
     /// `out` is set.
     pub manifest: Option<PathBuf>,
-    /// Collect host-side telemetry (pool, cache, and reorder-buffer
-    /// metrics; see [`SweepTelemetry`]). Implied by `progress` and
-    /// `metrics_out`. Never perturbs the rows — the determinism
-    /// contract holds with telemetry on or off.
-    pub telemetry: bool,
     /// Redraw a live progress line on stderr (cells/s, cache hit rate,
     /// ETA, per-worker utilization) while the sweep runs.
+    ///
+    /// This and `metrics_out` are the telemetry surfaces: either one
+    /// makes the sweep collect host-side telemetry (pool, cache, and
+    /// reorder-buffer metrics; see [`SweepTelemetry`]). Telemetry never
+    /// perturbs the rows — the determinism contract holds with it on or
+    /// off.
     pub progress: bool,
     /// Append a JSONL telemetry snapshot to this file roughly twice a
     /// second, plus one final snapshot when the sweep finishes. The
@@ -457,14 +458,10 @@ pub struct SweepSummary {
     /// Programs compiled: at most one per (benchmark, mode,
     /// [`CompileKey`]) among the cells that missed the cache.
     pub compiles: usize,
-    /// Worker threads used.
+    /// Worker threads started: `jobs`, capped at the pending cells.
     pub jobs: usize,
     /// Total wall-clock nanoseconds for the run.
     pub wall_ns: u64,
-    /// Final telemetry snapshot, when any telemetry surface
-    /// ([`SweepOptions::telemetry`] / `progress` / `metrics_out`) was
-    /// enabled.
-    pub telemetry: Option<pc_metrics::Snapshot>,
 }
 
 impl SweepSummary {
@@ -717,12 +714,14 @@ struct ImageSlot {
 }
 
 impl ImageMemo {
-    /// The memo for `points`, with each point's slot index.
-    fn new(points: &[Point<'_>]) -> (ImageMemo, Vec<usize>) {
+    /// The memo for `points`, with each point's slot index and the
+    /// order for `jobs` workers to claim the points in (see
+    /// [`dispatch_order`]).
+    fn new(points: &[Point<'_>], jobs: usize) -> (ImageMemo, Vec<usize>, Vec<usize>) {
         type Key = (*const Benchmark, MachineMode, CompileKey, CompileOptions);
         let mut index: HashMap<Key, usize> = HashMap::new();
         let mut slots: Vec<ImageSlot> = Vec::new();
-        let slot_of = points
+        let slot_of: Vec<usize> = points
             .iter()
             .map(|p| {
                 let key = (
@@ -743,7 +742,8 @@ impl ImageMemo {
             slots,
             compiles: AtomicUsize::new(0),
         };
-        (memo, slot_of)
+        let order = dispatch_order(&slot_of, jobs);
+        (memo, slot_of, order)
     }
 
     /// Simulates and validates `point` on the image in `slot`,
@@ -789,11 +789,50 @@ impl ImageMemo {
     }
 }
 
+/// The order `jobs` workers claim a grid's points in, given each
+/// point's slot with slots numbered in order of first appearance (as
+/// [`ImageMemo::new`] numbers them). It is point order, except that each
+/// key's first point moves to just before the second point of the key
+/// `jobs - 1` keys earlier (of key 0, for the first `jobs - 1` keys)
+/// when it comes after that point. On a grid of contiguous keys the
+/// workers then start `jobs` compiles at once, and afterwards each
+/// worker compiles the next key while the others run the points of
+/// keys already compiled, instead of waiting on the compile lock of the
+/// key just started; about `jobs + 1` images are live at a time. Keys of
+/// one point, keys that interleave, and `jobs <= 1` keep point order.
+fn dispatch_order(slot_of: &[usize], jobs: usize) -> Vec<usize> {
+    let ahead = jobs.saturating_sub(1);
+    let mut first: Vec<usize> = Vec::new();
+    let mut second: Vec<Option<usize>> = Vec::new();
+    for (i, &slot) in slot_of.iter().enumerate() {
+        if slot == first.len() {
+            first.push(i);
+            second.push(None);
+        } else if second[slot].is_none() {
+            second[slot] = Some(i);
+        }
+    }
+    // Point i sorts at 2i + 1; a first point hoisted before point p
+    // sorts at 2p. First points hoisted before the same point keep
+    // their key order, since the sort is stable.
+    let mut rank: Vec<usize> = (0..slot_of.len()).map(|i| 2 * i + 1).collect();
+    for key in 1..first.len() {
+        if let Some(p) = second[key.saturating_sub(ahead)].filter(|&p| p < first[key]) {
+            rank[first[key]] = 2 * p;
+        }
+    }
+    let mut order: Vec<usize> = (0..slot_of.len()).collect();
+    order.sort_by_key(|&i| rank[i]);
+    order
+}
+
 /// Simulates and validates every point on up to `jobs` worker threads,
 /// mapping each to a row with `row` on the worker. Each image is
 /// compiled by the first point of its (benchmark, mode, [`CompileKey`],
-/// [`CompileOptions`]) and dropped after the key's last point. Rows come
-/// back in point order, whatever `jobs` is.
+/// [`CompileOptions`]) to run and dropped after the key's last point.
+/// The workers claim points in point order, except that each key's
+/// first point is moved up so that up to `jobs` keys compile at once;
+/// rows come back in point order, whatever `jobs` is.
 ///
 /// # Errors
 /// The lowest-indexed failing point's error; the other points still run.
@@ -802,15 +841,17 @@ where
     R: Send,
     F: Fn(&Point<'a>, &Image, ImageRun) -> R + Sync,
 {
-    let (images, slot_of) = ImageMemo::new(points);
+    let (images, slot_of, order) = ImageMemo::new(points, jobs);
     let work: Vec<(&Point<'a>, usize)> = points.iter().zip(slot_of).collect();
-    try_par_map(&work, jobs, |&(point, slot)| {
+    par_map_in(&work, &order, jobs, |&(point, slot)| {
         let out = images
             .run(slot, point)
             .map(|(image, run)| row(point, &image, run));
         images.finish(slot);
         out
     })
+    .into_iter()
+    .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -819,15 +860,19 @@ where
 
 /// Runs a sweep.
 ///
-/// Work-stealing across `opts.jobs` threads; each pending cell first
-/// consults the cache (if configured), then simulates + validates its
-/// program image. Each image is compiled once per sweep, by the first
-/// cell of its (benchmark, mode, [`CompileKey`]) that misses the cache,
-/// and dropped after the key's last cell. Completed rows stream to the
-/// JSONL sink **in cell order** (a reorder buffer holds out-of-order
-/// completions), and after every flushed row the manifest is atomically
-/// rewritten — killing the process at any point loses at most the rows
-/// still in flight, and a resume recomputes exactly the missing cells.
+/// Up to `opts.jobs` threads claim the pending cells in cell order,
+/// except that each key's first cell is moved up so that up to `jobs`
+/// keys compile at once; each cell first consults the cache (if
+/// configured), then simulates + validates its program image. Each image
+/// is compiled once per sweep, by the first cell of its (benchmark,
+/// mode, [`CompileKey`]) that misses the cache, and dropped after the
+/// key's last cell. Completed rows stream to the JSONL sink **in cell
+/// order** (a reorder buffer holds out-of-order completions), and after
+/// every flushed row the manifest is atomically rewritten. Killing the
+/// process therefore loses the rows still in flight plus the rows that
+/// finished after the oldest unfinished cell — a few, since cells start
+/// in nearly cell order — and a resume recomputes exactly the missing
+/// cells.
 ///
 /// # Errors
 /// Deterministically reports the lowest-indexed failing cell
@@ -897,7 +942,8 @@ pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> Result<SweepSummary, 
             Point::new(bench, cell.mode, cell.config())
         })
         .collect();
-    let (images, slot_of) = ImageMemo::new(&points);
+    let jobs = opts.jobs.clamp(1, pending.len().max(1));
+    let (images, slot_of, order) = ImageMemo::new(&points, jobs);
     let work: Vec<((&SweepCell, &Point<'_>), usize)> =
         pending.iter().copied().zip(&points).zip(slot_of).collect();
 
@@ -944,16 +990,10 @@ pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> Result<SweepSummary, 
 
     // Fan the pending cells over the pool; the sink-side reorder buffer
     // flushes in pending order so output bytes are schedule-independent.
-    let jobs = opts.jobs.max(1);
     // Telemetry is purely host-side: the rows and their JSONL bytes are
     // identical with it on or off (the determinism suite pins this).
-    let tel: Option<Arc<SweepTelemetry>> =
-        (opts.telemetry || opts.progress || opts.metrics_out.is_some()).then(|| {
-            Arc::new(SweepTelemetry::new(
-                jobs.clamp(1, pending.len().max(1)),
-                pending.len(),
-            ))
-        });
+    let tel: Option<Arc<SweepTelemetry>> = (opts.progress || opts.metrics_out.is_some())
+        .then(|| Arc::new(SweepTelemetry::new(jobs, pending.len())));
     let tel_ref = tel.as_deref();
     let run_one = |cell: &SweepCell,
                    point: &Point<'_>,
@@ -1084,6 +1124,7 @@ pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> Result<SweepSummary, 
     let mut in_buffer = 0u64;
     run_pool(
         &work,
+        &order,
         jobs,
         run_cell,
         |i, outcome| {
@@ -1170,7 +1211,6 @@ pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> Result<SweepSummary, 
         compiles: images.compiles.into_inner(),
         jobs,
         wall_ns: started.elapsed().as_nanos() as u64,
-        telemetry: tel.map(|t| t.snapshot()),
     })
 }
 
@@ -1228,32 +1268,6 @@ mod tests {
         let mut changed = base.clone();
         changed.benches.pop();
         assert_ne!(fp, changed.fingerprint());
-    }
-
-    #[test]
-    fn shard_partition_is_exact_and_disjoint() {
-        let spec = SweepSpec::table2();
-        let all: Vec<String> = spec.cells().unwrap().iter().map(SweepCell::id).collect();
-        let mut seen = Vec::new();
-        for k in 1..=3 {
-            let opts = SweepOptions {
-                shard: Some((k, 3)),
-                ..SweepOptions::default()
-            };
-            // Use the same partition rule run_sweep applies.
-            let cells = spec.cells().unwrap();
-            let shard: Vec<String> = cells
-                .iter()
-                .filter(|c| c.index % 3 == k - 1)
-                .map(SweepCell::id)
-                .collect();
-            let _ = opts;
-            seen.extend(shard);
-        }
-        seen.sort();
-        let mut want = all;
-        want.sort();
-        assert_eq!(seen, want);
     }
 
     #[test]
@@ -1321,7 +1335,7 @@ mod tests {
     fn image_memo_compiles_a_key_once_and_drops_it_after_its_last_cell() {
         let bench = benchmarks::matrix();
         let points = one_key_points(&bench);
-        let (memo, slot_of) = ImageMemo::new(&points);
+        let (memo, slot_of, _) = ImageMemo::new(&points, 1);
         assert_eq!(slot_of, vec![0, 0, 0]);
         let start = std::sync::Barrier::new(points.len());
         let (memo_ref, start) = (&memo, &start);
@@ -1350,7 +1364,7 @@ mod tests {
     fn image_memo_reports_one_compile_error_for_every_cell_of_the_key() {
         let bench = broken();
         let points = one_key_points(&bench);
-        let (memo, _) = ImageMemo::new(&points);
+        let (memo, _, _) = ImageMemo::new(&points, 1);
         let errors: Vec<String> = points
             .iter()
             .map(|p| match memo.run(0, p) {
@@ -1378,9 +1392,68 @@ mod tests {
             point(base(), false, false),
             point(base(), true, true),
         ];
-        let (memo, slot_of) = ImageMemo::new(&points);
+        let (memo, slot_of, _) = ImageMemo::new(&points, 1);
         assert_eq!(slot_of, vec![0, 0, 0, 1, 2]);
         assert_eq!(memo.slots[0].pending.load(Ordering::Relaxed), 3);
+    }
+
+    #[test]
+    fn dispatch_order_moves_each_first_point_jobs_minus_one_keys_early() {
+        let contiguous = [0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3];
+        // One worker keeps point order. With two, key k's first point
+        // runs before key k-1's second point; with three, before key
+        // k-2's (key 0's, for keys 1 and 2).
+        assert_eq!(dispatch_order(&contiguous, 1), (0..12).collect::<Vec<_>>());
+        assert_eq!(
+            dispatch_order(&contiguous, 2),
+            vec![0, 3, 1, 2, 6, 4, 5, 9, 7, 8, 10, 11]
+        );
+        assert_eq!(
+            dispatch_order(&contiguous, 3),
+            vec![0, 3, 6, 1, 2, 9, 4, 5, 7, 8, 10, 11]
+        );
+        // Every point appears once, at any worker count.
+        for jobs in 0..6 {
+            let mut order = dispatch_order(&contiguous, jobs);
+            order.sort_unstable();
+            assert_eq!(order, (0..12).collect::<Vec<_>>(), "jobs={jobs}");
+        }
+        // Keys of one point, and keys that interleave, keep point order.
+        for slot_of in [vec![0, 1, 2, 3], vec![0, 1, 0, 1, 0, 1], vec![0, 1, 1, 0]] {
+            for jobs in [2, 4] {
+                let order = dispatch_order(&slot_of, jobs);
+                assert_eq!(order, (0..slot_of.len()).collect::<Vec<_>>(), "{slot_of:?}");
+            }
+        }
+        // A one-point key is hoisted itself, but has no second point
+        // for a later key's first point to move before.
+        assert_eq!(dispatch_order(&[0, 0, 1, 2, 2], 2), vec![0, 2, 1, 3, 4]);
+        assert!(dispatch_order(&[], 2).is_empty());
+    }
+
+    #[test]
+    fn dispatch_order_lets_every_worker_compile_at_once() {
+        // Six keys of five contiguous points, each point a no-op except
+        // that a key's first claim "compiles" for 30 ms under the key's
+        // lock, as `ImageMemo::run` does. In dispatch order each of the
+        // workers starts a compile of its own; in point order all but
+        // one would queue on key 0's lock.
+        let slot_of: Vec<usize> = (0..6).flat_map(|k| [k; 5]).collect();
+        for jobs in [2, 4] {
+            let compiled: Vec<Mutex<bool>> = (0..6).map(|_| Mutex::new(false)).collect();
+            let (running, peak) = (AtomicUsize::new(0), AtomicUsize::new(0));
+            let order = dispatch_order(&slot_of, jobs);
+            par_map_in(&slot_of, &order, jobs, |&slot| {
+                let mut done = compiled[slot].lock().unwrap();
+                if !*done {
+                    peak.fetch_max(running.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
+                    std::thread::sleep(Duration::from_millis(30));
+                    running.fetch_sub(1, Ordering::SeqCst);
+                    *done = true;
+                }
+            });
+            assert_eq!(peak.into_inner(), jobs, "jobs={jobs}");
+        }
     }
 
     #[test]

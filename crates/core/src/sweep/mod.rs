@@ -6,10 +6,10 @@
 //! module is the batch substrate the experiment harness, the benchmark
 //! suite, and the `pcsim sweep` subcommand all share:
 //!
-//! - [`pool`] — a work-stealing deque pool (owners pop from the bottom,
-//!   thieves steal blocks from the top) behind the [`par_map`] /
-//!   [`try_par_map`] combinators, so long LUD cells don't serialize
-//!   behind short Matrix cells.
+//! - [`pool`] — an in-order pool behind the [`par_map`] /
+//!   [`try_par_map`] combinators: workers claim cells one at a time from
+//!   a shared cursor, so long LUD cells don't serialize behind short
+//!   Matrix cells and results finish in nearly cell order.
 //! - [`cache`] — a content-addressed result cache keyed by the hash of
 //!   a cell's *inputs* (program source, mode, machine configuration,
 //!   cycle limit, schema version); hits replay stored [`pc_sim::RunStats`]

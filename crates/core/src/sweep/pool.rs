@@ -1,58 +1,41 @@
-//! Work-stealing deque pool.
+//! In-order dispatch pool.
 //!
 //! Every experiment in [`crate::experiments`] is an embarrassingly
 //! parallel grid — benchmark × mode × interconnect × memory model ×
-//! unit mix — of independent compile/simulate/validate pipelines, but
-//! the cells are wildly uneven: an LUD run under Mem2 costs orders of
-//! magnitude more than a tiny Matrix run. A central shared queue makes
-//! every worker contend on one cache line for every item; fixed
-//! chunking lets a worker that drew the long cells finish last while
-//! the rest idle. This pool does neither: each worker owns a deque
-//! seeded with a contiguous block of the grid, **pops from the bottom**
-//! of its own deque and, when empty, **steals a batch from the top** of
-//! a victim's — owner and thieves touch opposite ends, so contention
-//! only appears when the pool is already imbalanced.
+//! unit mix — of independent compile/simulate/validate pipelines, each
+//! a coarse 0.3–100 ms cell. Workers claim cells one at a time from a
+//! single shared cursor, in a dispatch order the caller chooses: a
+//! worker that drew a long cell simply claims fewer. Because cells
+//! start in dispatch order, a caller that flushes results in item
+//! order holds only the rows that finished while its oldest unfinished
+//! cell ran — a few on the sweep grids, where a block-seeded pool held
+//! up to half the grid.
 //!
 //! Results are delivered with **deterministic ordering**: [`par_map`]
-//! returns results in item order no matter how the OS schedules workers
-//! or which items get stolen, so a parallel sweep is bit-identical to
-//! the serial one. (The heavy dependency this would normally use,
-//! rayon/crossbeam, is unavailable offline; mutex-guarded deques cover
-//! the need — each lock guards a handful of pointer moves, never a
-//! simulation.)
+//! returns results in item order no matter how the OS schedules
+//! workers, so a parallel sweep is bit-identical to the serial one.
 
-use pc_metrics::{Gauge, Histogram, Lanes};
-use std::collections::VecDeque;
+use pc_metrics::Lanes;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Live pool metrics, shared with a [`crate::sweep::SweepTelemetry`]
 /// registry. All handles are lock-free; workers write their own lanes
 /// only, so a monitor thread can read concurrently.
 ///
-/// Conservation contract: every executed item is counted in exactly one
-/// of `pops` (taken off the worker's own deque) or `steals` (the first
-/// item of a stolen batch, executed immediately — the rest of the batch
-/// lands in the thief's deque and is counted as pops when taken), so
-/// `pops.total() + steals.total()` equals the number of items executed.
+/// Conservation contract: every executed item is claimed exactly once,
+/// so `claims.total()` equals the number of items executed.
 #[derive(Debug, Clone)]
 pub struct PoolMetrics {
-    /// Items taken from the worker's own deque, per worker.
-    pub pops: Arc<Lanes>,
-    /// Successful steals (one immediately-executed item each), per
-    /// worker.
-    pub steals: Arc<Lanes>,
-    /// Stolen batch sizes, in items.
-    pub steal_block: Arc<Histogram>,
+    /// Items claimed from the shared cursor, per worker.
+    pub claims: Arc<Lanes>,
     /// Host nanoseconds inside the work closure, per worker.
     pub busy_ns: Arc<Lanes>,
     /// Host lifetime of each worker thread, recorded once at exit.
     pub wall_ns: Arc<Lanes>,
-    /// High-water mark over every deque's depth.
-    pub queue_peak: Arc<Gauge>,
 }
 
 /// Number of worker threads to use by default: the host's available
@@ -63,57 +46,20 @@ pub fn default_jobs() -> usize {
         .unwrap_or(1)
 }
 
-/// One worker's deque of pending item indices.
-///
-/// The owner pops from the **back** (the "bottom"); thieves take a
-/// batch from the **front** (the "top"). The deque is seeded with the
-/// owner's block in *reverse* order, so the owner's pops walk the block
-/// in ascending item order while thieves drain the far end.
-struct WorkerDeque {
-    q: Mutex<VecDeque<usize>>,
-}
-
-impl WorkerDeque {
-    fn seeded(range: std::ops::Range<usize>) -> Self {
-        WorkerDeque {
-            q: Mutex::new(range.rev().collect()),
-        }
-    }
-
-    /// Owner's pop: bottom of the deque.
-    fn pop(&self) -> Option<usize> {
-        self.q.lock().expect("deque lock").pop_back()
-    }
-
-    /// Thief's steal: up to half the victim's items (at least one) off
-    /// the top. Returns them bottom-first so the thief can extend its
-    /// own deque and keep popping in the victim's order.
-    fn steal(&self) -> Vec<usize> {
-        let mut q = self.q.lock().expect("deque lock");
-        let n = q.len().div_ceil(2).min(q.len());
-        q.drain(..n).collect()
-    }
-
-    fn push_stolen(&self, batch: Vec<usize>) {
-        let mut q = self.q.lock().expect("deque lock");
-        for i in batch {
-            q.push_back(i);
-        }
-    }
-}
-
-/// Runs `f` over every item on up to `jobs` workers, delivering
+/// Runs `f` over every item on up to `jobs` workers, which claim the
+/// items in `order` (a permutation of the item indices), delivering
 /// `(item index, result)` pairs to `sink` **on the caller's thread in
 /// completion order**. Worker panics are caught and delivered as `Err`
 /// payloads; the caller decides how to re-raise. `jobs <= 1` runs
-/// inline with no spawning (and no panic catching — a serial panic
-/// propagates exactly as the plain loop would).
+/// inline in `order` with no spawning (and no panic catching — a
+/// serial panic propagates exactly as the plain loop would).
 ///
 /// This is the streaming primitive under [`par_map`] and the sweep
 /// engine's JSONL writer: the sink sees results the moment they finish,
 /// not when the whole grid is done.
 pub(crate) fn run_pool<I, O, F>(
     items: &[I],
+    order: &[usize],
     jobs: usize,
     f: F,
     mut sink: impl FnMut(usize, std::thread::Result<O>),
@@ -123,88 +69,47 @@ pub(crate) fn run_pool<I, O, F>(
     O: Send,
     F: Fn(&I) -> O + Sync,
 {
+    debug_assert_eq!(order.len(), items.len());
     let jobs = jobs.clamp(1, items.len().max(1));
     if jobs <= 1 {
         let t_start = metrics.map(|_| Instant::now());
-        for (i, item) in items.iter().enumerate() {
+        for &i in order {
             if let Some(m) = metrics {
-                m.pops.add(0, 1);
+                m.claims.add(0, 1);
                 let t0 = Instant::now();
-                let out = f(item);
+                let out = f(&items[i]);
                 m.busy_ns.add(0, t0.elapsed().as_nanos() as u64);
                 sink(i, Ok(out));
             } else {
-                sink(i, Ok(f(item)));
+                sink(i, Ok(f(&items[i])));
             }
         }
         if let (Some(m), Some(t)) = (metrics, t_start) {
-            m.queue_peak.set_max(items.len() as u64);
             m.wall_ns.add(0, t.elapsed().as_nanos() as u64);
         }
         return;
     }
-    // Seed each worker with a contiguous block of the grid.
-    let deques: Vec<WorkerDeque> = (0..jobs)
-        .map(|w| {
-            let lo = w * items.len() / jobs;
-            let hi = (w + 1) * items.len() / jobs;
-            if let Some(m) = metrics {
-                m.queue_peak.set_max((hi - lo) as u64);
-            }
-            WorkerDeque::seeded(lo..hi)
-        })
-        .collect();
-    let steals = AtomicUsize::new(0);
+    // The cursor only hands out positions in `order`; the items and
+    // `order` are shared before the workers spawn, so it publishes no
+    // data and `Relaxed` suffices.
+    let cursor = AtomicUsize::new(0);
     let (tx, rx) = mpsc::channel::<(usize, std::thread::Result<O>)>();
     std::thread::scope(|s| {
         for w in 0..jobs {
             let tx = tx.clone();
-            let deques = &deques;
-            let steals = &steals;
-            let f = &f;
+            let (cursor, f) = (&cursor, &f);
             s.spawn(move || {
                 let t_spawn = metrics.map(|_| Instant::now());
-                loop {
-                    let (i, was_pop) = match deques[w].pop() {
-                        Some(i) => (i, true),
-                        None => {
-                            // Own deque dry: steal a batch from the first
-                            // victim with work, scanning round-robin from
-                            // our right-hand neighbour. Items are never
-                            // re-enqueued, so an all-empty scan means the
-                            // grid is fully claimed and we can retire.
-                            let mut batch = Vec::new();
-                            for v in 1..jobs {
-                                batch = deques[(w + v) % jobs].steal();
-                                if !batch.is_empty() {
-                                    break;
-                                }
-                            }
-                            let Some(&first) = batch.first() else { break };
-                            steals.fetch_add(1, Ordering::Relaxed);
-                            if let Some(m) = metrics {
-                                m.steals.add(w, 1);
-                                m.steal_block.record(batch.len() as u64);
-                                m.queue_peak.set_max(batch.len() as u64 - 1);
-                            }
-                            deques[w].push_stolen(batch[1..].to_vec());
-                            (first, false)
-                        }
-                    };
-                    // The first item of a stolen batch was counted as a
-                    // steal above; everything popped is a pop.
+                while let Some(&i) = order.get(cursor.fetch_add(1, Ordering::Relaxed)) {
                     if let Some(m) = metrics {
-                        if was_pop {
-                            m.pops.add(w, 1);
-                        }
+                        m.claims.add(w, 1);
                     }
-                    let item = &items[i];
                     // A panicking item must not tear down the scope with a
                     // payload-less "scoped thread panicked": the payload is
                     // caught, shipped to the caller's thread, and re-raised
-                    // there once every worker has drained its share.
+                    // there once every worker has drained the cursor.
                     let t0 = metrics.map(|_| Instant::now());
-                    let out = catch_unwind(AssertUnwindSafe(|| f(item)));
+                    let out = catch_unwind(AssertUnwindSafe(|| f(&items[i])));
                     if let (Some(m), Some(t)) = (metrics, t0) {
                         m.busy_ns.add(w, t.elapsed().as_nanos() as u64);
                     }
@@ -224,11 +129,10 @@ pub(crate) fn run_pool<I, O, F>(
     });
 }
 
-/// Applies `f` to every item on up to `jobs` worker threads of a
-/// work-stealing deque pool, returning the results **in item order**
-/// (the scheduling of workers never leaks into the output). `jobs <= 1`
-/// runs inline on the caller's thread with no spawning at all, which
-/// keeps the serial path byte-for-byte the old code path.
+/// Applies `f` to every item on up to `jobs` worker threads, returning
+/// the results **in item order** (the scheduling of workers never leaks
+/// into the output). `jobs <= 1` runs inline on the caller's thread with
+/// no spawning at all.
 ///
 /// # Panics
 /// Re-raises the panic of the **lowest-indexed** panicking item — with
@@ -241,14 +145,24 @@ where
     O: Send,
     F: Fn(&I) -> O + Sync,
 {
-    let jobs = jobs.clamp(1, items.len().max(1));
-    if jobs <= 1 {
-        return items.iter().map(f).collect();
-    }
+    let order: Vec<usize> = (0..items.len()).collect();
+    par_map_in(items, &order, jobs, f)
+}
+
+/// [`par_map`] with the workers claiming items in `order`, a
+/// permutation of the item indices. Results still come back in item
+/// order, and the lowest *item index* still wins for a panic payload.
+pub(crate) fn par_map_in<I, O, F>(items: &[I], order: &[usize], jobs: usize, f: F) -> Vec<O>
+where
+    I: Sync,
+    O: Send,
+    F: Fn(&I) -> O + Sync,
+{
     let mut slots: Vec<Option<O>> = std::iter::repeat_with(|| None).take(items.len()).collect();
     let mut first_panic: Option<(usize, Box<dyn std::any::Any + Send>)> = None;
     run_pool(
         items,
+        order,
         jobs,
         f,
         |i, out| match out {
@@ -334,12 +248,9 @@ mod tests {
     }
 
     #[test]
-    fn stealing_rebalances_an_unbalanced_block() {
-        // One long item at the front of worker 0's block; with block
-        // seeding and no stealing, worker 0 would also run the rest of
-        // its block afterwards. Stealing lets the other workers drain
-        // it, so total wall-clock stays near the long pole. Ordering
-        // must hold regardless.
+    fn a_long_first_item_keeps_the_output_in_item_order() {
+        // One long item at the front: the other workers claim the rest
+        // while it runs, and ordering must hold regardless.
         let items: Vec<u64> = (0..32).collect();
         let out = par_map(&items, 4, |&x| {
             if x == 0 {
@@ -348,6 +259,20 @@ mod tests {
             x + 100
         });
         assert_eq!(out, (100..132).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_dispatch_order_changes_no_result() {
+        let items: Vec<u32> = (0..40).collect();
+        let reversed: Vec<usize> = (0..items.len()).rev().collect();
+        for jobs in [1, 3] {
+            let out = par_map_in(&items, &reversed, jobs, |&x| x * 7);
+            assert_eq!(out, par_map(&items, 1, |&x| x * 7), "jobs={jobs}");
+        }
+        // One worker runs the items in `order` too.
+        let mut ran = Vec::new();
+        run_pool(&items, &reversed, 1, |&x| x, |i, _| ran.push(i), None);
+        assert_eq!(ran, reversed);
     }
 
     #[test]
@@ -384,9 +309,11 @@ mod tests {
     #[test]
     fn run_pool_streams_every_result_exactly_once() {
         let items: Vec<u32> = (0..50).collect();
+        let order: Vec<usize> = (0..items.len()).collect();
         let mut seen = vec![0u32; items.len()];
         run_pool(
             &items,
+            &order,
             6,
             |&x| x * 3,
             |i, out| {
@@ -401,26 +328,25 @@ mod tests {
     fn test_metrics(jobs: usize) -> PoolMetrics {
         let r = pc_metrics::Registry::new();
         PoolMetrics {
-            pops: r.lanes("pops", "", jobs),
-            steals: r.lanes("steals", "", jobs),
-            steal_block: r.histogram("steal_block", ""),
+            claims: r.lanes("claims", "", jobs),
             busy_ns: r.lanes("busy", "", jobs),
             wall_ns: r.lanes("wall", "", jobs),
-            queue_peak: r.gauge("peak", ""),
         }
     }
 
     #[test]
-    fn metrics_conserve_pops_plus_steals_under_stealing() {
-        // An unbalanced grid forces steals; however the OS schedules the
-        // workers, every item is counted exactly once as a pop or a
-        // steal, and busy time never exceeds the worker's wall time.
+    fn metrics_count_one_claim_per_item_and_busy_within_wall() {
+        // An unbalanced grid: however the OS schedules the workers,
+        // every item is claimed exactly once, and busy time never
+        // exceeds the worker's wall time.
         let items: Vec<u64> = (0..48).collect();
+        let order: Vec<usize> = (0..items.len()).collect();
         let jobs = 4;
         let m = test_metrics(jobs);
         let mut delivered = 0usize;
         run_pool(
             &items,
+            &order,
             jobs,
             |&x| {
                 if x % 12 == 0 {
@@ -436,29 +362,23 @@ mod tests {
         );
         assert_eq!(delivered, items.len());
         assert_eq!(
-            m.pops.total() + m.steals.total(),
+            m.claims.total(),
             items.len() as u64,
-            "pops {:?} steals {:?}",
-            m.pops.per_lane(),
-            m.steals.per_lane(),
+            "claims {:?}",
+            m.claims.per_lane(),
         );
-        // Steal accounting: each steal event records one block whose
-        // size counts the immediately-executed first item.
-        assert_eq!(m.steals.total(), m.steal_block.summary().count);
         for (b, w) in m.busy_ns.per_lane().iter().zip(m.wall_ns.per_lane()) {
             assert!(*b <= w, "busy {b} > wall {w}");
         }
-        assert!(m.queue_peak.get() >= (items.len() / jobs) as u64);
     }
 
     #[test]
-    fn metrics_serial_path_counts_everything_as_pops() {
+    fn metrics_serial_path_claims_every_item() {
         let items: Vec<u32> = (0..9).collect();
+        let order: Vec<usize> = (0..items.len()).collect();
         let m = test_metrics(1);
-        run_pool(&items, 1, |&x| x, |_, _| {}, Some(&m));
-        assert_eq!(m.pops.total(), 9);
-        assert_eq!(m.steals.total(), 0);
-        assert_eq!(m.queue_peak.get(), 9);
+        run_pool(&items, &order, 1, |&x| x, |_, _| {}, Some(&m));
+        assert_eq!(m.claims.total(), 9);
         assert!(m.busy_ns.get(0) <= m.wall_ns.get(0));
     }
 
@@ -485,22 +405,26 @@ mod tests {
     #[test]
     fn panic_choice_is_the_lowest_indexed_item() {
         let items: Vec<u32> = (0..32).collect();
+        let forward: Vec<usize> = (0..items.len()).collect();
+        let reversed: Vec<usize> = forward.iter().rev().copied().collect();
         // Items 5 and 20 both panic; 5 must win even when 20 finishes
-        // first on the wall clock.
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            par_map(&items, 8, |&x| {
-                if x == 5 {
-                    std::thread::sleep(std::time::Duration::from_millis(2));
-                    panic!("low");
-                }
-                if x == 20 {
-                    panic!("high");
-                }
-                x
-            })
-        }));
-        let payload = result.unwrap_err();
-        assert_eq!(payload.downcast_ref::<&str>(), Some(&"low"));
+        // first on the wall clock, or is dispatched first.
+        for order in [forward, reversed] {
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                par_map_in(&items, &order, 8, |&x| {
+                    if x == 5 {
+                        std::thread::sleep(std::time::Duration::from_millis(2));
+                        panic!("low");
+                    }
+                    if x == 20 {
+                        panic!("high");
+                    }
+                    x
+                })
+            }));
+            let payload = result.unwrap_err();
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"low"));
+        }
     }
 
     #[test]

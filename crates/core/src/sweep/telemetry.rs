@@ -10,8 +10,8 @@
 //!
 //! Conservation invariants the snapshot satisfies (enforced by tests):
 //!
-//! * `pool_pops_total + pool_steals_total == cells_done_total` — every
-//!   executed cell was obtained by exactly one owner pop or one steal.
+//! * the `pool_claims` lanes sum to `cells_done_total` — every executed
+//!   cell was claimed exactly once from the pool's cursor.
 //! * per worker, `busy_ns <= wall_ns` and the summed idle time
 //!   (`wall − busy`) plus busy time equals the summed wall time exactly
 //!   (idle is *defined* as the complement, measured around the same
@@ -55,28 +55,17 @@ impl SweepTelemetry {
     pub fn new(jobs: usize, total: usize) -> SweepTelemetry {
         let registry = Registry::new();
         let pool = PoolMetrics {
-            pops: registry.lanes(
-                "pool_pops",
-                "Cells obtained from the worker's own deque.",
+            claims: registry.lanes(
+                "pool_claims",
+                "Cells claimed from the shared cursor, per worker.",
                 jobs,
             ),
-            steals: registry.lanes(
-                "pool_steals",
-                "Cells obtained by stealing from a victim's deque.",
-                jobs,
-            ),
-            steal_block: registry
-                .histogram("pool_steal_block_cells", "Stolen batch sizes, in cells."),
             busy_ns: registry.lanes(
                 "pool_busy_ns",
                 "Host time inside cell pipelines, per worker.",
                 jobs,
             ),
             wall_ns: registry.lanes("pool_wall_ns", "Host lifetime of each worker thread.", jobs),
-            queue_peak: registry.gauge(
-                "pool_queue_depth_peak",
-                "Deepest any worker deque ever was, in cells.",
-            ),
         };
         let t = SweepTelemetry {
             pool,
@@ -171,13 +160,12 @@ mod tests {
         t.cells_done.add(3);
         t.cache_hits.inc();
         t.cache_misses.add(2);
-        t.pool.pops.add(0, 2);
-        t.pool.steals.add(1, 1);
+        t.pool.claims.add(0, 2);
+        t.pool.claims.add(1, 1);
         let snap = t.snapshot();
         assert_eq!(snap.value("cells_done_total"), Some(3));
         assert_eq!(snap.value("cells_total"), Some(10));
-        assert_eq!(snap.labeled_total("pool_pops"), 2);
-        assert_eq!(snap.labeled_total("pool_steals"), 1);
+        assert_eq!(snap.labeled_total("pool_claims"), 3);
         assert!(snap.get("cache_hit_ns").is_some());
         // JSONL and Prometheus renders never panic and carry the names.
         assert!(snap.to_jsonl().contains("cells_done_total"));

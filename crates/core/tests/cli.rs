@@ -137,6 +137,50 @@ fn sweep_rejects_an_unknown_flag_and_a_missing_value() {
         "unknown flag \"--help\" for sweep",
     );
     assert_rejects(&[&sweep[..], &["--jobs"]].concat(), "--jobs needs a value");
+    assert_rejects(
+        &[&sweep[..], &["--telemetry"]].concat(),
+        "unknown flag \"--telemetry\" for sweep",
+    );
+}
+
+#[test]
+fn a_malformed_number_is_rejected_with_its_flag() {
+    let sweep = |flag, value| {
+        let base = [
+            "sweep",
+            "--benches",
+            "matrix",
+            "--modes",
+            "seq",
+            "--no-cache",
+        ];
+        [&base[..], &[flag, value]].concat()
+    };
+    let cases: [(Vec<&str>, &str, &str); 8] = [
+        (vec!["run", "matrix", "--seed", "x"], "--seed", "x"),
+        (sweep("--seed", "x"), "--seed", "x"),
+        (sweep("--jobs", "x"), "--jobs", "x"),
+        (sweep("--shard", "1/x"), "--shard", "x"),
+        (sweep("--shard", "y/2"), "--shard", "y"),
+        (
+            vec!["metrics", "matrix", "--check-overhead", "x"],
+            "--check-overhead",
+            "x",
+        ),
+        (
+            vec!["metrics", "matrix", "--check-overhead", "5", "--iters", "x"],
+            "--iters",
+            "x",
+        ),
+        (
+            vec!["exec", "programs/fib.pc", "--trace", "x"],
+            "--trace",
+            "x",
+        ),
+    ];
+    for (args, flag, bad) in cases {
+        assert_rejects(&args, &format!("{flag} value \"{bad}\" is not a number"));
+    }
 }
 
 #[test]

@@ -1,13 +1,13 @@
-//! End-to-end tests of the work-stealing sweep engine: parallel,
-//! sharded, and cached executions must all be bit-identical to a serial
-//! cold run, and stealing must actually rebalance skewed workloads.
+//! End-to-end tests of the sweep engine: parallel, sharded, and cached
+//! executions must all be bit-identical to a serial cold run, and the
+//! pool's shared cursor must keep a slow cell from serializing the rest.
 
 use coupling::sweep::{
     par_map, run_sweep, MemKind, Mix, SweepOptions, SweepRow, SweepSpec, SweepSummary,
 };
 use coupling::{run_benchmark, MachineMode};
 use pc_isa::InterconnectScheme;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::time::{Duration, Instant};
 
 /// The deterministic portion of a sweep's rows, in cell order.
@@ -35,7 +35,7 @@ fn small_spec() -> SweepSpec {
 }
 
 #[test]
-fn parallel_rows_are_bit_identical_to_serial_regardless_of_steal_order() {
+fn parallel_rows_are_bit_identical_to_serial_regardless_of_schedule() {
     let spec = small_spec();
     let serial = run_sweep(
         &spec,
@@ -47,7 +47,7 @@ fn parallel_rows_are_bit_identical_to_serial_regardless_of_steal_order() {
     .unwrap();
     assert_eq!(serial.rows.len(), 6);
     // Even on a single-CPU host, 4 worker threads interleave under the
-    // OS scheduler, exercising arbitrary steal orders.
+    // OS scheduler, exercising arbitrary completion orders.
     for trial in 0..3 {
         let parallel = run_sweep(
             &spec,
@@ -90,11 +90,10 @@ fn shard_union_is_bit_identical_to_the_unsharded_run() {
 
 #[test]
 fn injected_slow_job_does_not_serialize_the_pool() {
-    // The work-stealing acceptance test proper: one item is 16x slower
-    // than the rest. A fixed pre-partition would strand the short items
-    // behind it on one worker; stealing must let idle workers drain
-    // them. Wall-clock assertions are only meaningful with real
-    // parallel hardware, so gate on the host.
+    // One item is 16x slower than the rest. A fixed pre-partition would
+    // strand the short items behind it on one worker; the shared cursor
+    // must let the other workers claim them. Wall-clock assertions are
+    // only meaningful with real parallel hardware, so gate on the host.
     let slow = Duration::from_millis(80);
     let fast = Duration::from_millis(5);
     let items: Vec<Duration> = std::iter::once(slow)
@@ -112,7 +111,7 @@ fn injected_slow_job_does_not_serialize_the_pool() {
     if coupling::default_jobs() >= 2 {
         assert!(
             elapsed < serial_sum,
-            "work stealing should beat the serial sum on a multi-core \
+            "the pool should beat the serial sum on a multi-core \
              host: {elapsed:?} vs {serial_sum:?}"
         );
     } else {
@@ -159,12 +158,56 @@ fn parallel_sweep_beats_serial_on_multi_core_hosts() {
     );
 }
 
+/// A fresh path for a `metrics_out` file, unique to this process and
+/// `name`.
+fn metrics_path(name: &str) -> std::path::PathBuf {
+    std::env::temp_dir()
+        .join(format!("pc-sweep-{name}-{}", std::process::id()))
+        .join("metrics.jsonl")
+}
+
+/// The counters and gauges of the final snapshot in the `metrics_out`
+/// file at `path`, keyed as the JSONL writes them (`name` or
+/// `name{worker=N}`); histograms are skipped. Removes the file's
+/// directory afterwards.
+fn final_snapshot(path: &std::path::Path) -> BTreeMap<String, u64> {
+    let text = std::fs::read_to_string(path).unwrap();
+    let _ = std::fs::remove_dir_all(path.parent().unwrap());
+    let line = text.lines().last().expect("the final snapshot is written");
+    let body = line
+        .strip_prefix("{\"telemetry\":true,\"metrics\":{")
+        .and_then(|b| b.strip_suffix("}}"))
+        .unwrap_or_else(|| panic!("not a snapshot line: {line}"));
+    // Split at the commas outside histogram objects and bucket arrays.
+    let (mut fields, mut depth, mut from) = (Vec::new(), 0, 0);
+    for (i, c) in body.char_indices() {
+        match c {
+            '{' | '[' => depth += 1,
+            '}' | ']' => depth -= 1,
+            ',' if depth == 0 => {
+                fields.push(&body[from..i]);
+                from = i + 1;
+            }
+            _ => {}
+        }
+    }
+    fields.push(&body[from..]);
+    fields
+        .into_iter()
+        .filter_map(|field| {
+            let (key, value) = field.rsplit_once(':')?;
+            let key = key.strip_prefix('"')?.strip_suffix('"')?;
+            Some((key.to_string(), value.parse().ok()?))
+        })
+        .collect()
+}
+
 #[test]
 fn telemetry_on_rows_are_bit_identical_to_telemetry_off() {
     // Host telemetry is a pure observer: the deterministic portion of
     // every row (cell id, registers, full stats) must not move by a
-    // single bit when the registry, progress line, or snapshot emitter
-    // is active. Only wall times may differ.
+    // single bit when the registry and snapshot emitter are active.
+    // Only wall times may differ.
     let spec = small_spec();
     let off = run_sweep(
         &spec,
@@ -174,56 +217,51 @@ fn telemetry_on_rows_are_bit_identical_to_telemetry_off() {
         },
     )
     .unwrap();
-    assert!(off.telemetry.is_none(), "no surface requested, no registry");
+    let path = metrics_path("bit-identical");
     let on = run_sweep(
         &spec,
         &SweepOptions {
             jobs: 4,
-            telemetry: true,
+            metrics_out: Some(path.clone()),
             ..SweepOptions::default()
         },
     )
     .unwrap();
-    assert!(on.telemetry.is_some());
+    let snap = final_snapshot(&path);
+    assert_eq!(snap.get("cells_done_total"), Some(&(on.rows.len() as u64)));
     assert_eq!(canonical(&off), canonical(&on));
 }
 
 #[test]
 fn telemetry_snapshot_satisfies_conservation_invariants() {
-    use pc_metrics::SampleValue;
     let spec = small_spec();
+    let path = metrics_path("conservation");
     let run = run_sweep(
         &spec,
         &SweepOptions {
             jobs: 3,
-            telemetry: true,
+            metrics_out: Some(path.clone()),
             ..SweepOptions::default()
         },
     )
     .unwrap();
-    let snap = run.telemetry.expect("telemetry requested");
-    // Every executed cell was obtained by exactly one pop or one steal.
-    let pops = snap.labeled_total("pool_pops");
-    let steals = snap.labeled_total("pool_steals");
-    let done = snap.value("cells_done_total").unwrap();
-    assert_eq!(pops + steals, done, "pops {pops} + steals {steals}");
-    assert_eq!(done, run.rows.len() as u64);
-    assert_eq!(snap.value("cells_total"), Some(done));
-    // Per worker, time inside cell pipelines never exceeds the
-    // worker's lifetime (idle is defined as the complement).
-    let lane = |name: &str| -> Vec<(String, u64)> {
-        snap.samples
-            .iter()
-            .filter(|s| s.name == name)
-            .map(|s| {
-                let w = s.label.clone().expect("lanes are labeled").1;
-                match s.value {
-                    SampleValue::Counter(v) | SampleValue::Gauge(v) => (w, v),
-                    _ => panic!("lane samples are scalar"),
-                }
+    let snap = final_snapshot(&path);
+    // Every executed cell was claimed exactly once.
+    let lane = |name: &str| -> Vec<(&str, u64)> {
+        snap.iter()
+            .filter_map(|(k, &v)| {
+                let worker = k.strip_prefix(name)?.strip_prefix("{worker=")?;
+                Some((worker.strip_suffix('}')?, v))
             })
             .collect()
     };
+    let claims: u64 = lane("pool_claims").iter().map(|&(_, v)| v).sum();
+    let done = snap["cells_done_total"];
+    assert_eq!(claims, done, "claims {claims}");
+    assert_eq!(done, run.rows.len() as u64);
+    assert_eq!(snap.get("cells_total"), Some(&done));
+    // Per worker, time inside cell pipelines never exceeds the
+    // worker's lifetime (idle is defined as the complement).
     let busy = lane("pool_busy_ns");
     let wall = lane("pool_wall_ns");
     assert_eq!(busy.len(), 3);
@@ -233,8 +271,8 @@ fn telemetry_snapshot_satisfies_conservation_invariants() {
     }
     // The cache was off, so every lookup is a miss and the hit
     // histogram stays empty.
-    assert_eq!(snap.value("cache_hits_total"), Some(0));
-    assert_eq!(snap.value("cache_misses_total"), Some(done));
+    assert_eq!(snap.get("cache_hits_total"), Some(&0));
+    assert_eq!(snap.get("cache_misses_total"), Some(&done));
 }
 
 #[test]
@@ -276,7 +314,15 @@ fn jsonl_rows_round_trip_through_the_codec() {
         modes: vec![MachineMode::Coupled],
         ..SweepSpec::table2()
     };
-    let run = run_sweep(&spec, &SweepOptions::default()).unwrap();
+    let run = run_sweep(
+        &spec,
+        &SweepOptions {
+            jobs: 4,
+            ..SweepOptions::default()
+        },
+    )
+    .unwrap();
+    assert_eq!(run.jobs, 1, "one pending cell starts one worker");
     let row = &run.rows[0];
     let parsed = SweepRow::from_jsonl(&row.to_jsonl()).unwrap();
     assert_eq!(parsed.stats, row.stats);
@@ -347,7 +393,8 @@ fn a_shard_compiles_only_the_keys_of_its_own_cells() {
 #[test]
 fn shared_images_give_the_same_rows_at_any_jobs_count() {
     // 2 benchmarks × 2 modes × 2 mixes = 8 keys, each shared by the
-    // 5 interconnects × 2 memories of its cells.
+    // 5 interconnects × 2 memories of its cells. The mixes interleave
+    // the keys cell by cell, so the workers claim cells in cell order.
     let spec = SweepSpec {
         benches: vec!["matrix".into(), "fft".into()],
         modes: vec![MachineMode::Seq, MachineMode::Coupled],
@@ -356,9 +403,22 @@ fn shared_images_give_the_same_rows_at_any_jobs_count() {
         mixes: vec![Mix::Baseline, Mix::Units { iu: 2, fpu: 3 }],
         seed: 0,
     };
+    check_shared_images(&spec, 80, 8);
+    // One mix: 4 keys of 10 contiguous cells, so on 4 workers every
+    // key's first cell is claimed before key 0's second.
+    let contiguous = SweepSpec {
+        mixes: vec![Mix::Baseline],
+        ..spec
+    };
+    check_shared_images(&contiguous, 40, 4);
+}
+
+/// Runs `spec` serially and on 4 workers, and checks both compile each
+/// of its `keys` once and give rows equal to a per-cell compile.
+fn check_shared_images(spec: &SweepSpec, cells: usize, key_count: usize) {
     let run = |jobs| {
         run_sweep(
-            &spec,
+            spec,
             &SweepOptions {
                 jobs,
                 ..SweepOptions::default()
@@ -368,10 +428,10 @@ fn shared_images_give_the_same_rows_at_any_jobs_count() {
     };
     let serial = run(1);
     let parallel = run(4);
-    assert_eq!(serial.rows.len(), 80);
-    assert_eq!(keys(&serial), 8);
-    assert_eq!(serial.compiles, 8);
-    assert_eq!(parallel.compiles, 8);
+    assert_eq!(serial.rows.len(), cells);
+    assert_eq!(keys(&serial), key_count);
+    assert_eq!(serial.compiles, key_count);
+    assert_eq!(parallel.compiles, key_count);
     assert_eq!(canonical(&serial), canonical(&parallel));
     // A shared image runs exactly as a per-cell compile would.
     let suite = coupling::benchmarks::all();
